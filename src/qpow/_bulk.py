@@ -15,9 +15,9 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import _pair_positions
+from .spectra import ZERO_THRESHOLD_SCALE
 
 CHUNK = 1 << 18
-ZERO_THRESHOLD_SCALE = 1e-8
 
 _kappa_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _connected_cache: dict[int, np.ndarray] = {}

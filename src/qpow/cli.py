@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -260,10 +261,22 @@ def _cmd_scan(args) -> int:
     return EXIT_VIOLATED if report.violations else EXIT_OK
 
 
+def _glue_alpha_grid(argv: list[str]) -> list[str]:
+    """argparse takes a token such as -1,-0.5,0.5 for an option, so a grid that
+    starts with a negative number is glued to its flag: --alpha-grid=-1,..."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--alpha-grid" and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_alpha_grid(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handlers = {

@@ -6,10 +6,14 @@ census counts to validate against.  Scans evaluate a bound over a whole
 population, collect per-(n, k, alpha) extremal witnesses, and re-verify every
 candidate violation through the slower independent route (Jacobi eigensolver
 at tightened tolerance, flow-based connectivity) before it is reported.
+Re-verification computes those slow facts once per distinct candidate graph,
+on the scan's worker pool when it has one, and then checks each candidate
+record against its graph's facts in canonical order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -29,7 +33,7 @@ from .bounds import (
     resolve_bound_id,
 )
 from .connectivity import vertex_connectivity
-from .graph6 import emit_code, emit_graph6, read_stream
+from .graph6 import emit_code, read_stream
 from .graphs import Graph, from_code
 from .invariants import nonzero_power_sum
 from .spectra import q_spectrum
@@ -269,24 +273,32 @@ def _eval_connected_unit(args) -> _Accumulator:
     return acc
 
 
-def _reverify(raw) -> Optional[ViolationRecord]:
-    """Recompute a candidate violation through the independent slow route."""
-    n, code, k, alpha, branch, _, _ = raw
+def _slow_facts(args) -> tuple:
+    """The slow-route facts of one candidate graph: its Q spectrum at the
+    re-verification tolerance, and its flow connectivity and bipartition
+    when the scan's records need them (None otherwise)."""
+    n, code, need_kappa, need_parts = args
     g = from_code(n, code)
+    return (q_spectrum(g, conv_scale=REVERIFY_CONV_SCALE),
+            vertex_connectivity(g) if need_kappa else None,
+            g.bipartition() if need_parts else None)
+
+
+def _reverify(raw) -> Optional[ViolationRecord]:
+    """Recompute one candidate violation from its graph's slow-route facts,
+    which ride at the end of the record."""
+    n, code, k, alpha, branch, _, _, (spectrum, kappa, parts) = raw
     spec = BOUNDS[branch]
-    value = nonzero_power_sum(q_spectrum(g, conv_scale=REVERIFY_CONV_SCALE), alpha)
+    value = nonzero_power_sum(spectrum, alpha)
     r = s = None
     if branch.startswith("thm31"):
-        parts = g.bipartition()
         if parts is None:
-            raise RuntimeError(f"re-verification: {emit_graph6(g)} is not bipartite")
+            raise RuntimeError(f"re-verification: {emit_code(n, code)} is not bipartite")
         r, s = parts
-    if spec.family == "kappa":
-        kappa = vertex_connectivity(g)
-        if kappa > k:
-            raise RuntimeError(
-                f"re-verification: flow connectivity {kappa} of {emit_graph6(g)} exceeds k={k}"
-            )
+    if spec.family == "kappa" and kappa > k:
+        raise RuntimeError(
+            f"re-verification: flow connectivity {kappa} of {emit_code(n, code)} exceeds k={k}"
+        )
     bval = _scalar_bound(branch, alpha, n, k, r=r, s=s)
     margin = bval - value if spec.direction == "upper" else value - bval
     if margin < -tol_eq(bval):
@@ -297,12 +309,33 @@ def _reverify(raw) -> Optional[ViolationRecord]:
     return None
 
 
+def _reverify_all(raws: list[tuple], family: str, branch_items, mapper) -> list[ViolationRecord]:
+    """Slow facts once per distinct candidate graph, then one check per record
+    in canonical order.  mapper is map or a pool's map: Pool.map's default
+    chunksize deals each worker about four chunks of the sorted graphs, and
+    its results come back in input order, so the report does not depend on
+    the worker count."""
+    graphs = sorted({(raw[0], raw[1]) for raw in raws})
+    need_parts = any(branch.startswith("thm31") for _, branch in branch_items)
+    jobs = [(n, code, family == "kappa", need_parts) for n, code in graphs]
+    facts = dict(zip(graphs, mapper(_slow_facts, jobs)))
+    violations = []
+    for raw in sorted(raws, key=lambda r: (r[0], -1 if r[2] is None else r[2], r[3], r[1])):
+        record = _reverify(raw + (facts[raw[0], raw[1]],))
+        if record is not None:
+            violations.append(record)
+    return violations
+
+
 def _threads_from_env(threads: Optional[int]) -> int:
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("QPOW_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"QPOW_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -323,7 +356,8 @@ def scan(
     Returns a deterministic ScanReport; wall_time is the only field that
     varies between identical runs.  QPOW_THREADS (or the threads argument)
     caps worker parallelism; results are merged in canonical order so the
-    report does not depend on the worker count.
+    report does not depend on the worker count.  A QPOW_THREADS that is not
+    an integer raises ValueError.
     """
     t0 = time.perf_counter()
     ns = sorted(set(int(n) for n in n_values))
@@ -334,6 +368,7 @@ def scan(
         raise ValueError(f"{bound_id} does not take a connectivity parameter k")
     branch_items = tuple(sorted(branch_map.items()))
     acc = _Accumulator()
+    pool_size = 1
     if source is None:
         if any(n > INTERNAL_ENUM_CAP for n in ns):
             raise ValueError(
@@ -353,24 +388,20 @@ def scan(
                     continue
                 units.append((n, branch_items, family, k))
             worker = _eval_connected_unit
-        nworkers = _threads_from_env(threads)
-        if nworkers > 1 and len(units) > 1:
-            with multiprocessing.get_context("fork").Pool(min(nworkers, len(units))) as pool:
-                results = pool.map(worker, units)
-        else:
-            results = [worker(u) for u in units]
-        for part in results:
-            acc.merge(part)
+        pool_size = min(_threads_from_env(threads), len(units))
         source_name = "internal"
     else:
-        _scan_stream(acc, source, ns, branch_items, family, k, strict, on_error)
         source_name = "stream"
-
-    violations = []
-    for raw in sorted(acc.raw, key=lambda r: (r[0], -1 if r[2] is None else r[2], r[3], r[1])):
-        record = _reverify(raw)
-        if record is not None:
-            violations.append(record)
+    # one pool serves both the evaluation units and the re-verification
+    with (multiprocessing.get_context("fork").Pool(pool_size) if pool_size > 1
+          else contextlib.nullcontext()) as pool:
+        mapper = map if pool is None else pool.map
+        if source is None:
+            for part in mapper(worker, units):
+                acc.merge(part)
+        else:
+            _scan_stream(acc, source, ns, branch_items, family, k, strict, on_error)
+        violations = _reverify_all(acc.raw, family, branch_items, mapper)
     witnesses = [
         ExtremalWitness(n=key[0], k=key[1], alpha=key[3],
                         graph6=emit_code(key[0], entry[2]), value=entry[0])
@@ -393,6 +424,7 @@ def scan(
 
 
 def _scan_stream(acc, source, ns, branch_items, family, k_fixed, strict, on_error):
+    bvals: dict[tuple, float] = {}  # (branch, alpha, n, k, r, s) -> bound
     for g in read_stream(source, strict=strict, on_error=on_error):
         if g.n not in ns or not g.is_connected():
             continue
@@ -425,7 +457,10 @@ def _scan_stream(acc, source, ns, branch_items, family, k_fixed, strict, on_erro
             value = nonzero_power_sum(spectrum, alpha)
             maximize = spec.direction == "upper"
             for k in ks:
-                bval = _scalar_bound(branch, alpha, g.n, k, r=r, s=s)
+                key = (branch, alpha, g.n, k, r, s)
+                if key not in bvals:
+                    bvals[key] = _scalar_bound(branch, alpha, g.n, k, r=r, s=s)
+                bval = bvals[key]
                 margin = bval - value if maximize else value - bval
                 if margin < -tol_eq(bval):
                     acc.raw.append((g.n, code, k, alpha, branch, value, bval))

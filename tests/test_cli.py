@@ -209,6 +209,27 @@ class TestScan:
                            "--alpha-grid", "zebra")
         assert code == 2
 
+    def test_readme_negative_grid(self, capsys):
+        # the README example verbatim: a grid that starts with a negative alpha
+        readme = "qpow scan --id conj44 --max-n 6 --alpha-grid -1,-0.5,0.5 --format json"
+        code, out, _ = run(capsys, *readme.split()[1:])
+        assert code == 1
+        assert json.loads(out)["alpha_grid"] == [-1, -0.5, 0.5]
+
+    def test_negative_grid_forms_agree(self, capsys):
+        docs = []
+        for grid in (["--alpha-grid", "-1,-0.5"], ["--alpha-grid=-1,-0.5"]):
+            code, out, _ = run(capsys, "scan", "--id", "conj44", "--max-n", "3", *grid)
+            assert code == 1
+            docs.append(dict(json.loads(out), wall_time=None))
+        assert docs[0] == docs[1]
+
+    def test_malformed_threads_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QPOW_THREADS", "lots")
+        code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4", "--alpha-grid", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "QPOW_THREADS" in err and "'lots'" in err
+
     def test_alpha_zero_rejected(self, capsys):
         code, _, err = run(capsys, "scan", "--id", "thm32", "--max-n", "4",
                            "--alpha-grid", "0")

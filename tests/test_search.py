@@ -7,7 +7,8 @@ from qpow.bounds import gi_spectrum
 from qpow.graph6 import emit_graph6, parse_graph6
 from qpow.connectivity import vertex_connectivity
 from qpow.invariants import nonzero_power_sum
-from qpow.search import enumerate_graphs, extremal_table, scan
+import qpow.search as search
+from qpow.search import REVERIFY_CONV_SCALE, enumerate_graphs, extremal_table, scan
 from qpow.spectra import q_spectrum
 from qpow.verify import matches_extremal, tol_eq
 
@@ -171,6 +172,25 @@ class TestScanConjectures:
         with pytest.raises(ValueError):
             scan("thm32", range(2, 5), [0.0])
 
+    def test_one_slow_solve_per_distinct_violating_graph(self, monkeypatch):
+        solves = []
+
+        def counting(g, **kw):
+            solves.append((g.n, g.to_code(), kw.get("conv_scale")))
+            return q_spectrum(g, **kw)
+
+        monkeypatch.setattr(search, "q_spectrum", counting)
+        report = scan("conj44", range(2, 6), [-1, -0.5], threads=1)
+        graphs = {v.graph6 for v in report.violations}
+        assert len(report.violations) > len(graphs)  # records share graphs
+        assert len(solves) == len(set(solves)) == len(graphs)
+        assert {scale for _, _, scale in solves} == {REVERIFY_CONV_SCALE}
+
+    def test_flow_connectivity_above_k_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "vertex_connectivity", lambda g: g.n)
+        with pytest.raises(RuntimeError, match="exceeds k="):
+            scan("conj44", range(2, 5), [-1], threads=1)
+
 
 class TestReports:
     def test_json_deterministic(self):
@@ -183,9 +203,12 @@ class TestReports:
         assert doc["source"] == "internal"
 
     def test_threads_do_not_change_bytes(self):
-        a = scan("thm32", range(2, 6), [0.5, 1]).to_json(redact_timing=True)
-        b = scan("thm32", range(2, 6), [0.5, 1], threads=2).to_json(redact_timing=True)
-        assert a == b
+        # thm32 has no candidates; conj44 has some, re-verified on the pool
+        for bound_id, grid in [("thm32", [0.5, 1]), ("conj44", [-1, 0.5])]:
+            a = scan(bound_id, range(2, 6), grid, threads=1)
+            b = scan(bound_id, range(2, 6), grid, threads=2)
+            assert a.to_json(redact_timing=True) == b.to_json(redact_timing=True)
+            assert bool(a.violations) == (bound_id == "conj44")
 
     def test_env_threads(self, monkeypatch):
         monkeypatch.setenv("QPOW_THREADS", "2")
@@ -193,6 +216,11 @@ class TestReports:
         monkeypatch.setenv("QPOW_THREADS", "1")
         b = scan("thm41", range(2, 5), [1]).to_json(redact_timing=True)
         assert a == b
+
+    def test_malformed_env_threads(self, monkeypatch):
+        monkeypatch.setenv("QPOW_THREADS", "two")
+        with pytest.raises(ValueError, match="QPOW_THREADS.*'two'"):
+            scan("thm41", range(2, 5), [1])
 
     def test_csv_shape(self):
         report = scan("conj44", range(2, 5), [-1])
@@ -224,6 +252,21 @@ class TestStreamSource:
         internal = scan("conj44", [4], [-1]).to_json(redact_timing=True)
         streamed = scan("conj44", [4], [-1], source=iter(lines)).to_json(redact_timing=True)
         assert json.loads(internal)["violations"] == json.loads(streamed)["violations"]
+
+    def test_stream_bounds_computed_once_per_argument(self, monkeypatch):
+        calls = []
+        original = search._scalar_bound
+
+        def counting(*args, **kw):
+            calls.append(args + tuple(sorted(kw.items())))
+            return original(*args, **kw)
+
+        monkeypatch.setattr(search, "_scalar_bound", counting)
+        lines = [emit_graph6(g) for g in enumerate_graphs(5, "connected")]
+        # a clean grid, so re-verification adds no calls
+        report = scan("conj44", [5], [0.25, 0.5], source=iter(lines))
+        assert report.violations == []
+        assert len(calls) == len(set(calls)) == 2 * 4  # (alpha, k) for k in 1..4
 
     def test_stream_errors_surfaced(self):
         seen = []
