@@ -6,14 +6,13 @@ census counts to validate against.  Scans evaluate a bound over a whole
 population, collect per-(n, k, alpha) extremal witnesses, and re-verify every
 candidate violation through the slower independent route (Jacobi eigensolver
 at tightened tolerance, flow-based connectivity) before it is reported.
-Re-verification computes those slow facts once per distinct candidate graph,
-on the scan's worker pool when it has one, and then checks each candidate
-record against its graph's facts in canonical order.
+Re-verification computes those slow facts once per distinct candidate graph
+and then checks each candidate record against its graph's facts in canonical
+order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import multiprocessing
 import os
@@ -309,16 +308,17 @@ def _reverify(raw) -> Optional[ViolationRecord]:
     return None
 
 
-def _reverify_all(raws: list[tuple], family: str, branch_items, mapper) -> list[ViolationRecord]:
+def _reverify_all(raws: list[tuple], family: str, branch_items) -> list[ViolationRecord]:
     """Slow facts once per distinct candidate graph, then one check per record
-    in canonical order.  mapper is map or a pool's map: Pool.map's default
-    chunksize deals each worker about four chunks of the sorted graphs, and
-    its results come back in input order, so the report does not depend on
-    the worker count."""
+    in canonical order.
+
+    The solves run in this process, one after another.  On the scan's worker
+    pool they finish sooner on an idle machine, but their time then rises and
+    falls with the load on every core, not just one."""
     graphs = sorted({(raw[0], raw[1]) for raw in raws})
     need_parts = any(branch.startswith("thm31") for _, branch in branch_items)
     jobs = [(n, code, family == "kappa", need_parts) for n, code in graphs]
-    facts = dict(zip(graphs, mapper(_slow_facts, jobs)))
+    facts = dict(zip(graphs, map(_slow_facts, jobs)))
     violations = []
     for raw in sorted(raws, key=lambda r: (r[0], -1 if r[2] is None else r[2], r[3], r[1])):
         record = _reverify(raw + (facts[raw[0], raw[1]],))
@@ -368,7 +368,6 @@ def scan(
         raise ValueError(f"{bound_id} does not take a connectivity parameter k")
     branch_items = tuple(sorted(branch_map.items()))
     acc = _Accumulator()
-    pool_size = 1
     if source is None:
         if any(n > INTERNAL_ENUM_CAP for n in ns):
             raise ValueError(
@@ -388,20 +387,20 @@ def scan(
                     continue
                 units.append((n, branch_items, family, k))
             worker = _eval_connected_unit
-        pool_size = min(_threads_from_env(threads), len(units))
+        nworkers = _threads_from_env(threads)
+        if nworkers > 1 and len(units) > 1:
+            with multiprocessing.get_context("fork").Pool(min(nworkers, len(units))) as pool:
+                results = pool.map(worker, units)
+        else:
+            results = [worker(u) for u in units]
+        for part in results:
+            acc.merge(part)
         source_name = "internal"
     else:
+        _scan_stream(acc, source, ns, branch_items, family, k, strict, on_error)
         source_name = "stream"
-    # one pool serves both the evaluation units and the re-verification
-    with (multiprocessing.get_context("fork").Pool(pool_size) if pool_size > 1
-          else contextlib.nullcontext()) as pool:
-        mapper = map if pool is None else pool.map
-        if source is None:
-            for part in mapper(worker, units):
-                acc.merge(part)
-        else:
-            _scan_stream(acc, source, ns, branch_items, family, k, strict, on_error)
-        violations = _reverify_all(acc.raw, family, branch_items, mapper)
+
+    violations = _reverify_all(acc.raw, family, branch_items)
     witnesses = [
         ExtremalWitness(n=key[0], k=key[1], alpha=key[3],
                         graph6=emit_code(key[0], entry[2]), value=entry[0])

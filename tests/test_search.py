@@ -203,7 +203,7 @@ class TestReports:
         assert doc["source"] == "internal"
 
     def test_threads_do_not_change_bytes(self):
-        # thm32 has no candidates; conj44 has some, re-verified on the pool
+        # thm32 has no candidates; conj44 has some to re-verify
         for bound_id, grid in [("thm32", [0.5, 1]), ("conj44", [-1, 0.5])]:
             a = scan(bound_id, range(2, 6), grid, threads=1)
             b = scan(bound_id, range(2, 6), grid, threads=2)
