@@ -67,10 +67,6 @@ def bipartite_mask(rows: np.ndarray, n: int) -> np.ndarray:
     return (even & odd) == 0
 
 
-def degrees(rows: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(rows)
-
-
 def edge_counts(codes: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.asarray(codes, dtype=np.uint64)).astype(np.int64)
 
@@ -84,22 +80,9 @@ def q_matrices(rows: np.ndarray, n: int) -> np.ndarray:
     return mats
 
 
-def l_matrices(rows: np.ndarray, n: int) -> np.ndarray:
-    vbits = np.arange(n, dtype=np.int32)
-    adj = ((rows[:, :, None] >> vbits[None, None, :]) & 1).astype(np.float64)
-    mats = -adj
-    idx = np.arange(n)
-    mats[:, idx, idx] = adj.sum(axis=2)
-    return mats
-
-
 def q_eigs(rows: np.ndarray, n: int) -> np.ndarray:
     """Signless Laplacian eigenvalues, descending, shape (B, n)."""
     return np.linalg.eigvalsh(q_matrices(rows, n))[:, ::-1]
-
-
-def l_eigs(rows: np.ndarray, n: int) -> np.ndarray:
-    return np.linalg.eigvalsh(l_matrices(rows, n))[:, ::-1]
 
 
 def power_sums(eigs_desc: np.ndarray, alpha: float) -> np.ndarray:
@@ -108,11 +91,6 @@ def power_sums(eigs_desc: np.ndarray, alpha: float) -> np.ndarray:
     mask = eigs_desc > thr[:, None]
     safe = np.where(mask, eigs_desc, 1.0)
     return np.sum(np.where(mask, safe ** alpha, 0.0), axis=1)
-
-
-def nonzero_counts(eigs_desc: np.ndarray) -> np.ndarray:
-    thr = ZERO_THRESHOLD_SCALE * np.maximum(eigs_desc[:, 0], 1.0)
-    return np.sum(eigs_desc > thr[:, None], axis=1)
 
 
 def kappa_batch(rows: np.ndarray, n: int) -> np.ndarray:

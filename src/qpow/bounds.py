@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .graphs import Graph, complete, complete_bipartite, construct_gi
@@ -107,9 +108,11 @@ def gi_spectrum(n: int, k: int, i: int) -> Spectrum:
     return spectrum_from_values(values)
 
 
+@lru_cache(maxsize=4096)
 def connectivity_bound(n: int, k: int, alpha: float) -> float:
     """b(n, k, alpha): the power sum of the closed-form spectrum at i = 1, the
-    sharp bound over connected graphs with vertex connectivity at most k."""
+    sharp bound over connected graphs with vertex connectivity at most k.
+    Memoised per process: a scan asks for the same few values many times."""
     _check_alpha(alpha)
     return nonzero_power_sum(gi_spectrum(n, k, 1), alpha)
 

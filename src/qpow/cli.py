@@ -18,7 +18,7 @@ from .bounds import BOUNDS, FAMILY_ALIASES, bound_value, resolve_bound_id
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .graphs import complete, complete_bipartite, construct_gi
 from .invariants import laplacian_power_sum, named_invariants, signless_power_sum
-from .search import scan
+from .search import _round12, scan
 from .spectra import EigensolverError, a_spectrum, l_spectrum, q_spectrum
 from .verify import (
     check_bipartite_cospectral,
@@ -37,10 +37,6 @@ EXIT_NUMERICAL = 3
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _round12(x):
-    return float(f"{x:.12g}") if isinstance(x, float) else x
 
 
 def _build_parser() -> argparse.ArgumentParser:

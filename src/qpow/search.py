@@ -6,9 +6,11 @@ census counts to validate against.  Scans evaluate a bound over a whole
 population, collect per-(n, k, alpha) extremal witnesses, and re-verify every
 candidate violation through the slower independent route (Jacobi eigensolver
 at tightened tolerance, flow-based connectivity) before it is reported.
-Re-verification computes those slow facts once per distinct candidate graph
-and then checks each candidate record against its graph's facts in canonical
-order.
+A population arrives as batches from one of two sources, internal work units
+or a buffered graph6 stream, and one loop evaluates every batch with batched
+LAPACK.  Re-verification computes the slow facts once per distinct candidate
+graph and then checks each candidate record against its graph's facts in
+canonical order.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain, starmap
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -40,10 +43,12 @@ from .verify import tol_eq
 
 INTERNAL_ENUM_CAP = 9
 REVERIFY_CONV_SCALE = 1e-14  # Jacobi convergence for re-verification (100x tighter)
+STREAM_BATCH = 4096  # stream graphs of one n per eigensolve batch
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+def _round12(x):
+    """12 significant digits for a float; any other value passes through."""
+    return float(f"{x:.12g}") if isinstance(x, float) else x
 
 
 @dataclass(frozen=True)
@@ -126,32 +131,26 @@ def enumerate_graphs(n: int, filter: str = "connected", k: Optional[int] = None)
     """Lazily yield every labeled graph on n vertices passing the filter,
     each exactly once.  Internal enumeration is capped at n = 9; larger
     populations should arrive as graph6 streams."""
-    if not 1 <= n <= INTERNAL_ENUM_CAP:
-        raise ValueError(
-            f"internal enumeration handles 1 <= n <= {INTERNAL_ENUM_CAP}; use a graph6 stream beyond that"
-        )
-    if filter == "connected":
-        for chunk in _bulk.iter_connected_code_chunks(n):
-            for code in chunk:
-                yield from_code(n, int(code))
-    elif filter == "connected-bipartite":
-        for amask in _bulk.bipartite_splits(n):
-            for chunk in _bulk.split_connected_codes(n, amask):
-                for code in chunk:
-                    yield from_code(n, int(code))
-    elif filter == "kappa_at_most":
-        if k is None:
-            raise ValueError("the kappa_at_most filter needs k")
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={n}")
-        for chunk in _bulk.iter_connected_code_chunks(n):
-            kappas = _bulk.kappa_batch(_bulk.decode_rows(chunk, n), n)
-            for code in chunk[kappas <= k]:
-                yield from_code(n, int(code))
-    else:
+    family = {"connected": "connected", "connected-bipartite": "bipartite",
+              "kappa_at_most": "kappa"}.get(filter)
+    if family is None:
         raise ValueError(
             f"unknown filter {filter!r}; expected connected | connected-bipartite | kappa_at_most"
         )
+    if family == "kappa" and k is None:
+        raise ValueError("the kappa_at_most filter needs k")
+    _check_k(filter, family, k, n)
+    for _, codes, _, kappas, _ in chain.from_iterable(_internal_units([n], family)):
+        for code in codes if kappas is None else codes[kappas <= k]:
+            yield from_code(n, int(code))
+
+
+def _check_k(bound_id: str, family: str, k: Optional[int], n: Optional[int] = None) -> None:
+    """Reject a k that the family does not take, below 1, or (given n) above n-1."""
+    if k is not None and family != "kappa":
+        raise ValueError(f"{bound_id} does not take a connectivity parameter k")
+    if k is not None and (k < 1 or n is not None and k > n - 1):
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}" + (f" for n={n}" if n else ""))
 
 
 def _resolve_grid(bound_id: str, alpha_grid) -> dict[float, str]:
@@ -172,9 +171,10 @@ def _resolve_grid(bound_id: str, alpha_grid) -> dict[float, str]:
 
 
 def _scalar_bound(branch_id: str, alpha: float, n: int, k: Optional[int],
-                  r: Optional[int] = None, s: Optional[int] = None) -> float:
+                  r: Optional[int] = None) -> float:
+    """The bound at n (and k, or vertex 0's part size r for thm31)."""
     if branch_id.startswith("thm31"):
-        return complete_bipartite_bound(r, s, alpha)
+        return complete_bipartite_bound(r, n - r, alpha)
     family = BOUNDS[branch_id].family
     if family == "bipartite":
         return balanced_bipartite_bound(n, alpha)
@@ -200,72 +200,103 @@ class _Accumulator:
         self.count += other.count
         self.raw.extend(other.raw)
         for key, (value, n, code) in other.witness.items():
-            cur = self.witness.get(key)
-            maximize = BOUNDS[key[2]].direction == "upper"
-            if cur is None or (value > cur[0] if maximize else value < cur[0]):
-                self.witness[key] = (value, n, code)
+            self.update_witness(key, value, n, code, BOUNDS[key[2]].direction == "upper")
 
 
-def _eval_bipartite_unit(args) -> _Accumulator:
-    n, amask, branch_items = args
-    acc = _Accumulator()
-    r = amask.bit_count()
-    s = n - r
-    for codes in _bulk.split_connected_codes(n, amask):
-        rows = _bulk.decode_rows(codes, n)
-        eigs = _bulk.q_eigs(rows, n)
-        acc.count += codes.size
-        for alpha, branch in branch_items:
-            spec = BOUNDS[branch]
-            vals = _bulk.power_sums(eigs, alpha)
-            bval = _scalar_bound(branch, alpha, n, None, r=r, s=s)
-            margins = bval - vals if spec.direction == "upper" else vals - bval
-            te = tol_eq(bval)
-            for idx in np.flatnonzero(margins < -te):
-                acc.raw.append((n, int(codes[idx]), None, alpha, branch,
-                                float(vals[idx]), float(bval)))
-            maximize = spec.direction == "upper"
-            j = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
-            acc.update_witness((n, None, branch, alpha), float(vals[j]), n,
-                               int(codes[j]), maximize)
-    return acc
+# A batch is (n, codes, rows, kappas, r): edge codes, per-vertex adjacency
+# bitmasks of shape (B, n), flow or sweep connectivities (kappa family only,
+# else None) and vertex 0's part size (thm31 bounds only, else None).
 
 
-def _eval_connected_unit(args) -> _Accumulator:
-    n, branch_items, family, k_fixed = args
-    acc = _Accumulator()
-    ks: list[Optional[int]]
-    if family == "kappa":
-        ks = [k_fixed] if k_fixed is not None else list(range(1, n))
-    else:
-        ks = [None]
-    counted_by_filter = family == "kappa" and k_fixed is not None
-    for codes, kappas in _bulk.iter_connected_with_kappa(n, need_kappa=family == "kappa"):
-        rows = _bulk.decode_rows(codes, n)
-        eigs = _bulk.q_eigs(rows, n)
-        if counted_by_filter:
-            acc.count += int(np.sum(kappas <= k_fixed))
+@dataclass(frozen=True)
+class _Unit:
+    """One internal work unit, iterated as batches: every labeled connected
+    graph on n vertices, or for the bipartite family every one whose
+    bipartition is the split amask.  Units are picklable for the scan pool."""
+
+    n: int
+    family: str
+    amask: int = 0
+
+    def __iter__(self):
+        n = self.n
+        if self.family == "bipartite":
+            for codes in _bulk.split_connected_codes(n, self.amask):
+                yield n, codes, _bulk.decode_rows(codes, n), None, self.amask.bit_count()
         else:
-            acc.count += codes.size
+            for codes, kappas in _bulk.iter_connected_with_kappa(n, self.family == "kappa"):
+                yield n, codes, _bulk.decode_rows(codes, n), kappas, None
+
+
+def _internal_units(ns, family: str) -> list[_Unit]:
+    if any(not 1 <= n <= INTERNAL_ENUM_CAP for n in ns):
+        raise ValueError(
+            f"internal enumeration handles 1 <= n <= {INTERNAL_ENUM_CAP}; use a graph6 stream beyond that"
+        )
+    if family == "bipartite":
+        return [_Unit(n, family, amask) for n in ns for amask in _bulk.bipartite_splits(n)]
+    return [_Unit(n, family) for n in ns]
+
+
+def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[tuple]:
+    """Batches of the stream graphs whose n is in ns and that belong to the
+    family of branch, buffered per n and flushed every STREAM_BATCH graphs.
+
+    A buffer also flushes when r changes, so the batches of each n keep
+    stream order and witness ties break as they do in enumeration order.
+    Codes stay Python ints (they overflow int64 from n = 12); connectivity
+    is the per-graph flow value, which beats the batch sweep on one graph."""
+    family = BOUNDS[branch].family
+    buffers: dict[int, tuple] = {}  # n -> (r, codes, rows, kappas)
+
+    def flush(n):
+        r, codes, rows, kappas = buffers.pop(n)
+        return (n, np.array(codes, dtype=object), np.array(rows, dtype=np.int64),
+                np.array(kappas) if family == "kappa" else None, r)
+
+    for g in graphs:
+        if g.n not in ns or not g.is_connected():
+            continue
+        r = None
+        if family == "bipartite":
+            parts = g.bipartition()
+            if parts is None:
+                continue
+            if branch.startswith("thm31"):
+                r = parts[0]
+        buf = buffers.get(g.n)
+        if buf is not None and (buf[0] != r or len(buf[1]) == STREAM_BATCH):
+            yield flush(g.n)
+        _, codes, rows, kappas = buffers.setdefault(g.n, (r, [], [], []))
+        codes.append(g.to_code())
+        rows.append(g.rows)
+        if family == "kappa":
+            kappas.append(vertex_connectivity(g))
+    for n in list(buffers):
+        yield flush(n)
+
+
+def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) -> _Accumulator:
+    """The one evaluation loop: batched LAPACK spectra, power sums, margins
+    against each (alpha, k) bound, raw candidate violations and extremal
+    witnesses.  Returns acc, so the scan pool can run it on a unit."""
+    for n, codes, rows, kappas, r in batches:
+        eigs = _bulk.q_eigs(rows, n)
+        ks = [None] if kappas is None else range(1, n) if k_fixed is None else [k_fixed]
+        acc.count += len(codes) if kappas is None or k_fixed is None else int(np.sum(kappas <= k_fixed))
         for alpha, branch in branch_items:
-            spec = BOUNDS[branch]
+            maximize = BOUNDS[branch].direction == "upper"
             vals = _bulk.power_sums(eigs, alpha)
-            maximize = spec.direction == "upper"
             for k in ks:
-                if k is None:
-                    sel = np.arange(codes.size)
-                else:
-                    sel = np.flatnonzero(kappas <= k)
-                    if sel.size == 0:
-                        continue
-                bval = _scalar_bound(branch, alpha, n, k)
+                sel = np.arange(len(codes)) if k is None else np.flatnonzero(kappas <= k)
+                if sel.size == 0:
+                    continue
+                bval = _scalar_bound(branch, alpha, n, k, r=r)
                 vsel = vals[sel]
                 margins = bval - vsel if maximize else vsel - bval
-                te = tol_eq(bval)
-                for idx in np.flatnonzero(margins < -te):
-                    gidx = int(sel[idx])
-                    acc.raw.append((n, int(codes[gidx]), k, alpha, branch,
-                                    float(vals[gidx]), float(bval)))
+                for idx in np.flatnonzero(margins < -tol_eq(bval)):
+                    acc.raw.append((n, int(codes[sel[idx]]), k, alpha, branch,
+                                    float(vsel[idx]), float(bval)))
                 j = int(np.argmax(vsel)) if maximize else int(np.argmin(vsel))
                 acc.update_witness((n, k, branch, alpha), float(vsel[j]), n,
                                    int(codes[sel[j]]), maximize)
@@ -289,16 +320,16 @@ def _reverify(raw) -> Optional[ViolationRecord]:
     n, code, k, alpha, branch, _, _, (spectrum, kappa, parts) = raw
     spec = BOUNDS[branch]
     value = nonzero_power_sum(spectrum, alpha)
-    r = s = None
+    r = None
     if branch.startswith("thm31"):
         if parts is None:
             raise RuntimeError(f"re-verification: {emit_code(n, code)} is not bipartite")
-        r, s = parts
+        r = parts[0]
     if spec.family == "kappa" and kappa > k:
         raise RuntimeError(
             f"re-verification: flow connectivity {kappa} of {emit_code(n, code)} exceeds k={k}"
         )
-    bval = _scalar_bound(branch, alpha, n, k, r=r, s=s)
+    bval = _scalar_bound(branch, alpha, n, k, r=r)
     margin = bval - value if spec.direction == "upper" else value - bval
     if margin < -tol_eq(bval):
         return ViolationRecord(
@@ -364,42 +395,27 @@ def scan(
     alphas = [float(a) for a in alpha_grid]
     branch_map = _resolve_grid(bound_id, alphas)
     family = BOUNDS[next(iter(branch_map.values()))].family
-    if k is not None and family != "kappa":
-        raise ValueError(f"{bound_id} does not take a connectivity parameter k")
+    _check_k(bound_id, family, k)
     branch_items = tuple(sorted(branch_map.items()))
+    # the bounds are defined for n >= 2, and for a fixed k only where k <= n-1
+    live = {n for n in ns if n >= 2 and (k is None or k <= n - 1)}
     acc = _Accumulator()
     if source is None:
-        if any(n > INTERNAL_ENUM_CAP for n in ns):
-            raise ValueError(
-                f"internal enumeration handles n <= {INTERNAL_ENUM_CAP}; supply a graph6 stream"
-            )
-        units: list[tuple] = []
-        if family == "bipartite":
-            for n in ns:
-                if n < 2:
-                    continue
-                for amask in _bulk.bipartite_splits(n):
-                    units.append((n, amask, branch_items))
-            worker = _eval_bipartite_unit
+        units = _internal_units(sorted(live), family)
+        jobs = [(_Accumulator(), unit, branch_items, k) for unit in units]
+        nworkers = min(_threads_from_env(threads), len(units))
+        if nworkers > 1:
+            with multiprocessing.get_context("fork").Pool(nworkers) as pool:
+                parts = pool.starmap(_evaluate, jobs)
         else:
-            for n in ns:
-                if n < 2 or (family == "kappa" and k is not None and k > n - 1):
-                    continue
-                units.append((n, branch_items, family, k))
-            worker = _eval_connected_unit
-        nworkers = _threads_from_env(threads)
-        if nworkers > 1 and len(units) > 1:
-            with multiprocessing.get_context("fork").Pool(min(nworkers, len(units))) as pool:
-                results = pool.map(worker, units)
-        else:
-            results = [worker(u) for u in units]
-        for part in results:
+            parts = starmap(_evaluate, jobs)
+        for part in parts:
             acc.merge(part)
         source_name = "internal"
     else:
-        _scan_stream(acc, source, ns, branch_items, family, k, strict, on_error)
+        graphs = read_stream(source, strict=strict, on_error=on_error)
+        _evaluate(acc, _stream_batches(graphs, live, branch_items[0][1]), branch_items, k)
         source_name = "stream"
-
     violations = _reverify_all(acc.raw, family, branch_items)
     witnesses = [
         ExtremalWitness(n=key[0], k=key[1], alpha=key[3],
@@ -422,50 +438,6 @@ def scan(
     )
 
 
-def _scan_stream(acc, source, ns, branch_items, family, k_fixed, strict, on_error):
-    bvals: dict[tuple, float] = {}  # (branch, alpha, n, k, r, s) -> bound
-    for g in read_stream(source, strict=strict, on_error=on_error):
-        if g.n not in ns or not g.is_connected():
-            continue
-        r = s = None
-        if family == "bipartite":
-            parts = g.bipartition()
-            if parts is None:
-                continue
-            r, s = parts
-            if min(r, s) == 0:
-                continue
-            ks: list[Optional[int]] = [None]
-        elif family == "kappa":
-            kappa = vertex_connectivity(g)
-            if k_fixed is not None:
-                if kappa > k_fixed or k_fixed > g.n - 1:
-                    continue
-                ks = [k_fixed]
-            else:
-                ks = list(range(kappa, g.n))
-                if not ks:
-                    continue
-        else:
-            ks = [None]
-        acc.count += 1
-        spectrum = q_spectrum(g)
-        code = g.to_code()
-        for alpha, branch in branch_items:
-            spec = BOUNDS[branch]
-            value = nonzero_power_sum(spectrum, alpha)
-            maximize = spec.direction == "upper"
-            for k in ks:
-                key = (branch, alpha, g.n, k, r, s)
-                if key not in bvals:
-                    bvals[key] = _scalar_bound(branch, alpha, g.n, k, r=r, s=s)
-                bval = bvals[key]
-                margin = bval - value if maximize else value - bval
-                if margin < -tol_eq(bval):
-                    acc.raw.append((g.n, code, k, alpha, branch, value, bval))
-                acc.update_witness((g.n, k, branch, alpha), value, g.n, code, maximize)
-
-
 def extremal_table(
     bound_id: str,
     n: int,
@@ -476,45 +448,26 @@ def extremal_table(
 ) -> list[tuple[str, float]]:
     """Rank the population by the power sum: the head of this table is where
     extremal-graph claims are confirmed.  Upper bounds rank descending, lower
-    bounds ascending; ties keep enumeration order."""
+    bounds ascending; ties keep enumeration (or stream) order.  For the kappa
+    family the population is kappa <= k, with k = n-1 when not given."""
     branch = resolve_bound_id(bound_id, alpha)
     if branch is None:
         raise ValueError(f"no branch of {bound_id!r} covers alpha={alpha:g}")
     spec = BOUNDS[branch]
+    _check_k(bound_id, spec.family, k, n)
+    if source is None:
+        batches = chain.from_iterable(_internal_units([n], spec.family))
+    else:
+        batches = _stream_batches(read_stream(source), {n}, branch)
     values: list[np.ndarray] = []
     codes: list[np.ndarray] = []
-    if source is not None:
-        pairs = []
-        for g in read_stream(source):
-            if g.n != n or not g.is_connected():
-                continue
-            if spec.family == "bipartite" and g.bipartition() is None:
-                continue
-            if spec.family == "kappa" and vertex_connectivity(g) > (k or n - 1):
-                continue
-            pairs.append((nonzero_power_sum(q_spectrum(g), alpha), g.to_code()))
-        vals = np.array([p[0] for p in pairs])
-        cds = np.array([p[1] for p in pairs], dtype=np.int64)
-        values, codes = [vals], [cds]
-    elif spec.family == "bipartite":
-        for amask in _bulk.bipartite_splits(n):
-            for chunk in _bulk.split_connected_codes(n, amask):
-                rows = _bulk.decode_rows(chunk, n)
-                values.append(_bulk.power_sums(_bulk.q_eigs(rows, n), alpha))
-                codes.append(chunk)
-    else:
-        for chunk, kappas in _bulk.iter_connected_with_kappa(n, need_kappa=spec.family == "kappa"):
-            if spec.family == "kappa":
-                kk = k if k is not None else n - 1
-                keep = kappas <= kk
-                chunk = chunk[keep]
-                if chunk.size == 0:
-                    continue
-                rows = _bulk.decode_rows(chunk, n)
-            else:
-                rows = _bulk.decode_rows(chunk, n)
-            values.append(_bulk.power_sums(_bulk.q_eigs(rows, n), alpha))
-            codes.append(chunk)
+    for _, cds, rows, kappas, _ in batches:
+        vals = _bulk.power_sums(_bulk.q_eigs(rows, n), alpha)
+        if kappas is not None:
+            keep = kappas <= (n - 1 if k is None else k)
+            vals, cds = vals[keep], cds[keep]
+        values.append(vals)
+        codes.append(cds)
     if not values:
         return []
     vals = np.concatenate(values)

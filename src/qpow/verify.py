@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -145,19 +144,6 @@ def matches_extremal(g: Graph, bound_id: str, k: Optional[int] = None) -> bool:
     b = q_spectrum(target).values
     tol = TOL_EQ_SCALE * max(1.0, float(b[0]))
     return bool(np.max(np.abs(a - b)) <= tol)
-
-
-def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism by permutation sweep; only sensible for tiny n."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degree_sequence()) != sorted(h.degree_sequence()):
-        return False
-    hedges = set(h.edges())
-    for perm in permutations(range(g.n)):
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in hedges for u, v in g.edges()):
-            return True
-    return False
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ vectorized kernels), and odd cycles come from adjacency-matrix powers.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from qpow.graphs import Graph, from_code
+from qpow.spectra import ZERO_THRESHOLD_SCALE
 
 
 def eigvalsh_oracle(matrix) -> np.ndarray:
@@ -41,6 +44,40 @@ def power_sum_oracle(eigs: np.ndarray, alpha: float) -> float:
     thr = 1e-8 * max(1.0, float(eigs[0]))
     nz = eigs[eigs > thr]
     return float(np.sum(nz ** alpha))
+
+
+def l_eigs(rows: np.ndarray, n: int) -> np.ndarray:
+    """Laplacian eigenvalues (descending) of a batch of per-vertex adjacency
+    bitmask rows, shape (B, n)."""
+    vbits = np.arange(n, dtype=np.int32)
+    adj = ((rows[:, :, None] >> vbits[None, None, :]) & 1).astype(np.float64)
+    mats = -adj
+    idx = np.arange(n)
+    mats[:, idx, idx] = adj.sum(axis=2)
+    return np.linalg.eigvalsh(mats)[:, ::-1]
+
+
+def nonzero_counts(eigs_desc: np.ndarray) -> np.ndarray:
+    """Eigenvalues per row above the library's zero threshold."""
+    thr = ZERO_THRESHOLD_SCALE * np.maximum(eigs_desc[:, 0], 1.0)
+    return np.sum(eigs_desc > thr[:, None], axis=1)
+
+
+def degrees(rows: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(rows)
+
+
+def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
+    """Exact isomorphism by permutation sweep; only sensible for tiny n."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    if sorted(g.degree_sequence()) != sorted(h.degree_sequence()):
+        return False
+    hedges = set(h.edges())
+    for perm in permutations(range(g.n)):
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in hedges for u, v in g.edges()):
+            return True
+    return False
 
 
 def all_graphs(n: int):

@@ -29,7 +29,7 @@ from qpow.search import scan
 from qpow.spectra import q_spectrum
 from qpow.verify import tol_eq
 
-from conftest import power_sum_oracle, q_eigs_oracle
+from conftest import degrees, l_eigs, nonzero_counts, power_sum_oracle, q_eigs_oracle
 
 # independently published labeled census counts, cross-checked against the
 # enumeration kernels (which themselves are brute-force code sweeps)
@@ -198,7 +198,7 @@ def test_criterion_06_interlacing_and_monotonicity():
         for lo in range(0, all_codes.size, _bulk.CHUNK):
             eigs[lo:lo + _bulk.CHUNK] = _bulk.q_eigs(rows[lo:lo + _bulk.CHUNK], n)
         connected = _bulk.connected_mask(rows, n)
-        hs = _bulk.nonzero_counts(eigs)
+        hs = nonzero_counts(eigs)
         sums = eigs.sum(axis=1)
         for p in range(nbits):
             bit = np.int64(1) << p
@@ -249,7 +249,7 @@ def test_criterion_07_bipartite_cospectrality():
         for amask in _bulk.bipartite_splits(n):
             for codes in _bulk.split_connected_codes(n, amask):
                 rows = _bulk.decode_rows(codes, n)
-                diff = np.max(np.abs(_bulk.q_eigs(rows, n) - _bulk.l_eigs(rows, n)))
+                diff = np.max(np.abs(_bulk.q_eigs(rows, n) - l_eigs(rows, n)))
                 worst = max(worst, float(diff))
                 total += codes.size
     assert worst <= 1e-8
@@ -269,9 +269,9 @@ def test_criterion_08_trace_identities_and_interval_relations():
             chunk = codes[lo:lo + _bulk.CHUNK]
             rows = _bulk.decode_rows(chunk, n)
             q = _bulk.q_eigs(rows, n)
-            l = _bulk.l_eigs(rows, n)
+            l = l_eigs(rows, n)
             ms = _bulk.edge_counts(chunk)
-            degs = _bulk.degrees(rows)
+            degs = degrees(rows)
             m1 = np.sum(degs.astype(np.float64) ** 2, axis=1)
             s1 = _bulk.power_sums(q, 1.0)
             assert np.array_equal(np.rint(s1).astype(np.int64), 2 * ms), n

@@ -136,6 +136,16 @@ class TestConnectivityBound:
         assert connectivity_bound(5, 2, 1) == pytest.approx(16.0, abs=1e-10)
         assert connectivity_bound(4, 1, 2) == pytest.approx(26.0, abs=1e-9)
 
+    def test_memoised(self):
+        connectivity_bound.cache_clear()
+        first = connectivity_bound(9, 3, 0.5)
+        assert connectivity_bound(9, 3, 0.5) == first
+        assert connectivity_bound.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            connectivity_bound(9, 9, 0.5)  # errors are raised every time, not cached
+        with pytest.raises(ValueError):
+            connectivity_bound(9, 9, 0.5)
+
     def test_alpha1_polynomial_exact(self):
         for n in range(2, 31):
             for k in range(1, n):

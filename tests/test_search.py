@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qpow.bounds import gi_spectrum
+from qpow.bounds import BOUNDS, bound_value, gi_spectrum
 from qpow.graph6 import emit_graph6, parse_graph6
+from qpow.graphs import construct_gi
 from qpow.connectivity import vertex_connectivity
 from qpow.invariants import nonzero_power_sum
 import qpow.search as search
@@ -237,15 +239,59 @@ class TestReports:
         assert isinstance(doc["wall_time"], float)
 
 
+def population_lines(bound_id, ns):
+    """graph6 lines of the bound's population in enumeration order."""
+    family = BOUNDS[bound_id if bound_id in BOUNDS else bound_id + "-upper"].family
+    flt = "connected-bipartite" if family == "bipartite" else "connected"
+    return [emit_graph6(g) for n in ns for g in enumerate_graphs(n, flt)]
+
+
+def stream_bytes_equal(internal, streamed):
+    """Redacted report bytes agree in every field but source."""
+    assert internal.source == "internal" and streamed.source == "stream"
+    relabeled = dataclasses.replace(internal, source="stream")
+    return relabeled.to_json(redact_timing=True) == streamed.to_json(redact_timing=True)
+
+
 class TestStreamSource:
-    def test_stream_matches_internal(self):
-        lines = [emit_graph6(g) for g in enumerate_graphs(4, "connected")]
-        internal = scan("thm41", [4], [1, 2]).to_json(redact_timing=True)
-        streamed = scan("thm41", [4], [1, 2], source=iter(lines)).to_json(redact_timing=True)
-        a, b = json.loads(internal), json.loads(streamed)
-        assert a["graphs_scanned"] == b["graphs_scanned"] == 38
-        assert a["violations"] == b["violations"] == []
-        assert a["extremal_witnesses"] == b["extremal_witnesses"]
+    @pytest.mark.parametrize("bound_id,grid,k", [
+        ("thm31", [-1, 0.5, 2], None),
+        ("thm32", [-1, 0.5, 1], None),
+        ("conj31", [1.5, 2, 3], None),
+        ("thm41", [-1, 1, 2], None),
+        ("thm43", [1, 2], None),
+        ("thm43", [1, 2], 2),
+        ("conj44", [-1, 0.5], None),
+        ("conj44", [-1, 0.5], 2),
+    ], ids=["thm31", "thm32", "conj31", "thm41", "thm43", "thm43-k2", "conj44", "conj44-k2"])
+    def test_stream_matches_internal(self, bound_id, grid, k):
+        ns = range(2, 7)
+        internal = scan(bound_id, ns, grid, k=k, threads=1)
+        streamed = scan(bound_id, ns, grid, k=k, source=iter(population_lines(bound_id, ns)))
+        assert internal.extremal_witnesses
+        assert stream_bytes_equal(internal, streamed)
+
+    def test_stream_skips_inapplicable_n(self):
+        # n = 1 (and n = 2 when k = 2 > n-1) is outside every bound, as internally
+        lines = ["@"] + population_lines("conj44", range(2, 4))
+        for bound_id, grid, k in [("thm41", [1], None), ("conj44", [-1], None), ("conj44", [-1], 2)]:
+            internal = scan(bound_id, range(1, 4), grid, k=k, threads=1)
+            streamed = scan(bound_id, range(1, 4), grid, k=k, source=iter(lines))
+            assert stream_bytes_equal(internal, streamed), (bound_id, k)
+
+    def test_stream_beyond_int64_codes(self):
+        # n = 12 has 66 pair bits: the stream keeps codes as Python ints
+        g = construct_gi(12, 3, 1)
+        report = scan("conj44", [12], [-1, 0.5], source=iter([emit_graph6(g)]))
+        assert report.graphs_scanned == 1 and report.violations == []
+        at_k3 = [w for w in report.extremal_witnesses if w.k == 3]
+        assert [w.alpha for w in at_k3] == [-1, 0.5]
+        for w in at_k3:
+            assert w.graph6 == emit_graph6(g)
+            branch = "conj44-lower" if w.alpha < 0 else "conj44-upper"
+            want = bound_value(branch, w.alpha, n=12, k=3)
+            assert w.value == pytest.approx(want, abs=tol_eq(want))
+        assert {w.k for w in report.extremal_witnesses} == set(range(3, 12))
 
     def test_stream_kappa_family(self):
         lines = [emit_graph6(g) for g in enumerate_graphs(4, "connected")]
@@ -284,6 +330,13 @@ class TestStreamSource:
         with pytest.raises(ValueError):
             scan("thm41", [10], [1])
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k="):
+            scan("conj44", range(2, 5), [0.5], k=k)
+        with pytest.raises(ValueError, match="k="):
+            scan("conj44", range(2, 5), [0.5], k=k, source=iter(["Bw"]))
+
 
 class TestExtremalTable:
     def test_thm43_top_is_gi1(self):
@@ -310,7 +363,27 @@ class TestExtremalTable:
         values = [v for _, v in table]
         assert values == sorted(values)
 
-    def test_stream_source(self):
-        lines = [emit_graph6(g) for g in enumerate_graphs(5, "connected")]
-        table = extremal_table("thm41", 5, 1, top=1, source=iter(lines))
-        assert table[0][1] == pytest.approx(20.0)
+    @pytest.mark.parametrize("bound_id,alpha,k", [
+        ("thm31", -1, None),
+        ("thm32", 0.5, None),
+        ("conj31", 2, None),
+        ("thm41", 1, None),
+        ("thm41", -0.5, None),
+        ("thm43", 2, None),
+        ("thm43", 2, 2),
+        ("conj44", -1, 3),
+    ], ids=["thm31", "thm32", "conj31", "thm41", "thm41-neg", "thm43", "thm43-k2", "conj44-k3"])
+    def test_stream_source(self, bound_id, alpha, k):
+        lines = population_lines(bound_id, [6])
+        internal = extremal_table(bound_id, 6, alpha, k=k, top=12)
+        streamed = extremal_table(bound_id, 6, alpha, k=k, top=12, source=iter(lines))
+        assert len(internal) == 12
+        assert json.dumps(streamed) == json.dumps(internal)
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_k_outside_range_rejected(self, k):
+        lines = population_lines("thm43", [6])
+        with pytest.raises(ValueError, match="k="):
+            extremal_table("thm43", 6, 2, k=k)
+        with pytest.raises(ValueError, match="k="):
+            extremal_table("thm43", 6, 2, k=k, source=iter(lines))

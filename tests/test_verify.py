@@ -19,12 +19,11 @@ from qpow.verify import (
     check_edge_monotonicity,
     check_identities,
     check_interlacing,
-    is_isomorphic_bruteforce,
     matches_extremal,
     tol_eq,
 )
 
-from conftest import connected_graphs_naive
+from conftest import connected_graphs_naive, is_isomorphic_bruteforce
 
 
 class TestInterlacing:
