@@ -41,7 +41,8 @@ from .invariants import nonzero_power_sum
 from .spectra import q_spectrum
 from .verify import tol_eq
 
-INTERNAL_ENUM_CAP = 9
+# the largest n each family's labeled enumeration finishes at desk scale
+INTERNAL_ENUM_CAP = {"connected": 8, "kappa": 8, "bipartite": 9}
 REVERIFY_CONV_SCALE = 1e-14  # Jacobi convergence for re-verification (100x tighter)
 STREAM_BATCH = 4096  # stream graphs of one n per eigensolve batch
 
@@ -129,8 +130,8 @@ class ScanReport:
 
 def enumerate_graphs(n: int, filter: str = "connected", k: Optional[int] = None) -> Iterator[Graph]:
     """Lazily yield every labeled graph on n vertices passing the filter,
-    each exactly once.  Internal enumeration is capped at n = 9; larger
-    populations should arrive as graph6 streams."""
+    each exactly once, up to INTERNAL_ENUM_CAP (n = 8, or 9 for
+    connected-bipartite); larger populations should arrive as graph6 streams."""
     family = {"connected": "connected", "connected-bipartite": "bipartite",
               "kappa_at_most": "kappa"}.get(filter)
     if family is None:
@@ -229,10 +230,10 @@ class _Unit:
 
 
 def _internal_units(ns, family: str) -> list[_Unit]:
-    if any(not 1 <= n <= INTERNAL_ENUM_CAP for n in ns):
-        raise ValueError(
-            f"internal enumeration handles 1 <= n <= {INTERNAL_ENUM_CAP}; use a graph6 stream beyond that"
-        )
+    cap = INTERNAL_ENUM_CAP[family]
+    if any(not 1 <= n <= cap for n in ns):
+        raise ValueError(f"internal enumeration of the {family} family handles 1 <= n <= {cap}; "
+                         "beyond that, scan a graph6 stream of the graphs (--input)")
     if family == "bipartite":
         return [_Unit(n, family, amask) for n in ns for amask in _bulk.bipartite_splits(n)]
     return [_Unit(n, family) for n in ns]
@@ -399,11 +400,14 @@ def scan(
     branch_items = tuple(sorted(branch_map.items()))
     # the bounds are defined for n >= 2, and for a fixed k only where k <= n-1
     live = {n for n in ns if n >= 2 and (k is None or k <= n - 1)}
+    if k is not None and not live:
+        raise ValueError(f"k={k} exceeds n-1 for every requested n")
     acc = _Accumulator()
     if source is None:
         units = _internal_units(sorted(live), family)
         jobs = [(_Accumulator(), unit, branch_items, k) for unit in units]
         nworkers = min(_threads_from_env(threads), len(units))
+        # fork may follow numpy's BLAS threads; workers' _bulk cache fills stay there
         if nworkers > 1:
             with multiprocessing.get_context("fork").Pool(nworkers) as pool:
                 parts = pool.starmap(_evaluate, jobs)

@@ -4,12 +4,16 @@ The eigensolver works on a dense copy and is deliberately self-contained: for
 the n <= 64 graphs handled here its accuracy (off-diagonal Frobenius norm
 driven below 1e-12 * ||M||_F) is orders of magnitude finer than the 1e-8
 comparison tolerances used by the bound checks, and its convergence behaviour
-is fully under our control for violation re-verification.
+is fully under our control for violation re-verification.  Its rotations run
+on Python floats, one mirrored triangle each, and give eigenvalues bit-identical
+to the numpy column-then-row loop they replaced (same IEEE operations, same
+order); the mirroring needs an exactly symmetric input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -90,51 +94,58 @@ def jacobi_eigenvalues(
 
     Sweeps the strict upper triangle in row order, rotating away each entry,
     until the off-diagonal Frobenius norm falls below conv_scale * ||M||_F.
-    Raises EigensolverError when max_sweeps is exhausted (never silent).
+    Raises EigensolverError when max_sweeps is exhausted (never silent), and
+    ValueError unless m is square and exactly symmetric.
     Returns the eigenvalues sorted descending.
     """
     a = np.array(m, dtype=float, copy=True)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix must be exactly symmetric, with no NaN entry")
     if n == 1:
         return a[0, :1].copy()
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         return np.zeros(n)
     target = conv_scale * norm
+    rows = a.tolist()
     for _ in range(max_sweeps):
         # off-diagonal Frobenius norm, summed directly: the n^2-cost variant
         # is immune to the cancellation that breaks ||A||^2 - sum(diag^2)
         # once the off part falls below sqrt(eps) * ||A||
-        off_sq = a.copy()
-        np.fill_diagonal(off_sq, 0.0)
-        if float(np.linalg.norm(off_sq)) <= target:
-            return np.sort(np.diag(a))[::-1].copy()
+        off = np.array(rows)
+        np.fill_diagonal(off, 0.0)
+        if float(np.linalg.norm(off)) <= target:
+            return np.sort([rows[i][i] for i in range(n)])[::-1].copy()
         for p in range(n - 1):
+            row_p = rows[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = row_p[q]
                 if apq == 0.0:
                     continue
-                diff = a[q, q] - a[p, p]
+                row_q = rows[q]
+                app, aqq = row_p[p], row_q[q]
+                diff = aqq - app
                 if abs(apq) < 1e-36 * abs(diff):
                     t = apq / diff
                 else:
                     theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
                     if theta < 0.0:
                         t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                c = 1.0 / sqrt(t * t + 1.0)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
+                # mirrored triangle = column pass then row pass, when symmetric
+                for i, row_i in enumerate(rows):
+                    if i != p and i != q:
+                        x, y = row_i[p], row_i[q]
+                        row_i[p] = row_p[i] = c * x - s * y
+                        row_i[q] = row_q[i] = s * x + c * y
+                row_p[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                row_q[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+                row_p[q] = row_q[p] = 0.0
     raise EigensolverError(
         f"Jacobi sweep budget ({max_sweeps}) exhausted; off-diagonal norm still above {target:.3e}"
     )

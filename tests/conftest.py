@@ -3,7 +3,9 @@
 Oracles here are deliberately independent of the library paths they check:
 eigenvalues come from numpy's LAPACK (the library default is the Jacobi
 solver), censuses come from naive per-code loops (the library enumerates with
-vectorized kernels), and odd cycles come from adjacency-matrix powers.
+vectorized kernels), and odd cycles come from adjacency-matrix powers.  The
+Jacobi solver's earlier numpy-slice loop is kept as the bit-for-bit reference
+for its Python-float loop.
 """
 
 from __future__ import annotations
@@ -14,12 +16,63 @@ import numpy as np
 import pytest
 
 from qpow.graphs import Graph, from_code
-from qpow.spectra import ZERO_THRESHOLD_SCALE
+from qpow.spectra import (
+    JACOBI_CONV_SCALE,
+    JACOBI_MAX_SWEEPS,
+    ZERO_THRESHOLD_SCALE,
+    EigensolverError,
+)
 
 
 def eigvalsh_oracle(matrix) -> np.ndarray:
     """Reference eigenvalues (descending) via LAPACK."""
     return np.sort(np.linalg.eigvalsh(np.asarray(matrix, dtype=float)))[::-1]
+
+
+def jacobi_reference(m, conv_scale: float = JACOBI_CONV_SCALE,
+                     max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+    """The cyclic Jacobi solver as it was written on numpy slices: a column
+    pass and a row pass of whole-array operations per rotation, with the
+    scalars in np.float64.  The library's Python-float loop must return the
+    same eigenvalues bit for bit."""
+    a = np.array(m, dtype=float, copy=True)
+    n = a.shape[0]
+    if n == 1:
+        return a[0, :1].copy()
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        return np.zeros(n)
+    target = conv_scale * norm
+    for _ in range(max_sweeps):
+        off_sq = a.copy()
+        np.fill_diagonal(off_sq, 0.0)
+        if float(np.linalg.norm(off_sq)) <= target:
+            return np.sort(np.diag(a))[::-1].copy()
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(apq) < 1e-36 * abs(diff):
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+    raise EigensolverError(f"Jacobi sweep budget ({max_sweeps}) exhausted")
 
 
 def q_matrix_oracle(g: Graph) -> np.ndarray:

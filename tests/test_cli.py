@@ -236,6 +236,12 @@ class TestScan:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "k=0" in err
 
+    def test_k_fitting_no_n_rejected(self, capsys):
+        code, out, err = run(capsys, "scan", "--id", "conj44", "--max-n", "4",
+                             "--alpha-grid", "0.5", "--k", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "k=10" in err
+
     def test_alpha_zero_rejected(self, capsys):
         code, _, err = run(capsys, "scan", "--id", "thm32", "--max-n", "4",
                            "--alpha-grid", "0")

@@ -330,6 +330,22 @@ class TestStreamSource:
         with pytest.raises(ValueError):
             scan("thm41", [10], [1])
 
+    def test_internal_cap_per_family(self):
+        # labeled connected n = 9 is 2^36 codes: only the bipartite family reaches 9
+        for bound_id, grid in [("thm41", [1]), ("conj44", [0.5])]:
+            with pytest.raises(ValueError, match="graph6 stream"):
+                scan(bound_id, [9], grid)
+        with pytest.raises(ValueError, match="graph6 stream"):
+            next(enumerate_graphs(9, "connected"))
+        assert search._internal_units([9], "bipartite")
+
+    def test_k_fitting_no_n_rejected(self):
+        with pytest.raises(ValueError, match="k=10"):
+            scan("conj44", range(2, 5), [0.5], k=10)
+        with pytest.raises(ValueError, match="k=10"):
+            scan("conj44", range(2, 5), [0.5], k=10, source=iter(["Bw"]))
+        assert scan("conj44", range(2, 5), [0.5], k=3).graphs_scanned > 0
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="k="):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qpow.graphs import complete, complete_bipartite, cycle, empty, from_code, path
 from qpow.spectra import (
+    JACOBI_CONV_SCALE,
     EigensolverError,
     a_spectrum,
     adjacency,
@@ -15,7 +16,13 @@ from qpow.spectra import (
     signless_laplacian,
 )
 
-from conftest import connected_graphs_naive, eigvalsh_oracle, q_eigs_oracle, random_graph
+from conftest import (
+    connected_graphs_naive,
+    eigvalsh_oracle,
+    jacobi_reference,
+    q_eigs_oracle,
+    random_graph,
+)
 
 
 class TestMatrices:
@@ -104,6 +111,13 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.zeros((2, 3)))
 
+    def test_non_symmetric_rejected(self):
+        # the true eigenvalues are 1 and 1; one triangle alone would give 2 and 0
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigenvalues([[1, 2], [0, 1]])
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigenvalues(np.array([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]]))
+
     def test_tight_tolerance_converges(self, rng):
         for _ in range(10):
             g = random_graph(rng, 8)
@@ -121,6 +135,32 @@ class TestJacobi:
         assert np.sum(s.values) == pytest.approx(2 * g.m, abs=1e-8)
         m1 = sum(d * d for d in g.degree_sequence())
         assert np.sum(s.values ** 2) == pytest.approx(m1 + 2 * g.m, abs=1e-8)
+
+
+class TestJacobiMatchesReference:
+    """The Python-float rotation loop returns, bit for bit, what the numpy
+    column-then-row loop it replaced returns (conftest.jacobi_reference)."""
+
+    @pytest.mark.parametrize("conv_scale", [JACOBI_CONV_SCALE, 1e-14])
+    def test_graph_matrices(self, conv_scale):
+        solved = 0
+        for n in range(1, 6):
+            for g in connected_graphs_naive(n):
+                for matrix in (signless_laplacian(g), laplacian(g), adjacency(g)):
+                    got = jacobi_eigenvalues(matrix, conv_scale=conv_scale)
+                    assert np.array_equal(got, jacobi_reference(matrix, conv_scale)), (n, g.to_code())
+                    solved += 1
+        assert solved == 3 * (1 + 1 + 4 + 38 + 728)
+
+    @pytest.mark.parametrize("conv_scale", [JACOBI_CONV_SCALE, 1e-14])
+    def test_random_symmetric(self, conv_scale):
+        rng = np.random.default_rng(5)  # own stream: the shared rng fixture's draws stay as they were
+        for n in range(1, 25):
+            for _ in range(3):
+                m = rng.normal(size=(n, n))
+                m = m + m.T
+                got = jacobi_eigenvalues(m, conv_scale=conv_scale)
+                assert np.array_equal(got, jacobi_reference(m, conv_scale)), n
 
 
 class TestZeroClassification:
