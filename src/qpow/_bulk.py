@@ -51,26 +51,6 @@ def connected_mask(rows: np.ndarray, n: int, keep: int | None = None) -> np.ndar
     return reach == keep
 
 
-def bipartite_mask(rows: np.ndarray, n: int) -> np.ndarray:
-    """Two-colorability, valid for connected graphs (single parity closure)."""
-    vbits = np.arange(n, dtype=np.int32)
-    even = np.ones(rows.shape[0], dtype=np.int32)
-    odd = np.zeros(rows.shape[0], dtype=np.int32)
-    for _ in range(n):
-        sel_e = ((even[:, None] >> vbits) & 1).astype(np.int32)
-        sel_o = ((odd[:, None] >> vbits) & 1).astype(np.int32)
-        odd2 = odd | np.bitwise_or.reduce(rows * sel_e, axis=1)
-        even2 = even | np.bitwise_or.reduce(rows * sel_o, axis=1)
-        if np.array_equal(odd2, odd) and np.array_equal(even2, even):
-            break
-        even, odd = even2, odd2
-    return (even & odd) == 0
-
-
-def edge_counts(codes: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(np.asarray(codes, dtype=np.uint64)).astype(np.int64)
-
-
 def q_matrices(rows: np.ndarray, n: int) -> np.ndarray:
     vbits = np.arange(n, dtype=np.int32)
     adj = ((rows[:, :, None] >> vbits[None, None, :]) & 1).astype(np.float64)

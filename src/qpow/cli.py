@@ -225,7 +225,11 @@ def _cmd_scan(args) -> int:
     if args.input == "-":
         source = sys.stdin
     elif args.input:
-        close_me = open(args.input, "r", encoding="ascii")
+        try:
+            close_me = open(args.input, "r", encoding="ascii")
+        except OSError as exc:
+            print(f"error: cannot read --input {args.input!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
         source = close_me
 
     def surface(err: Graph6Error) -> None:

@@ -8,13 +8,16 @@ candidate violation through the slower independent route (Jacobi eigensolver
 at tightened tolerance, flow-based connectivity) before it is reported.
 A population arrives as batches from one of two sources, internal work units
 or a buffered graph6 stream, and one loop evaluates every batch with batched
-LAPACK.  Re-verification computes the slow facts once per distinct candidate
-graph and then checks each candidate record against its graph's facts in
-canonical order.
+LAPACK.  The kappa <= k populations are nested, so that loop decides every k
+of a batch from one kappa <= k mask and its cost per batch grows with the
+alpha grid, not with alpha x k.  Re-verification computes the slow facts once
+per distinct candidate graph and then checks each candidate record against
+its graph's facts in canonical order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -26,14 +29,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _bulk
-from .bounds import (
-    BOUNDS,
-    balanced_bipartite_bound,
-    complete_bipartite_bound,
-    complete_graph_bound,
-    connectivity_bound,
-    resolve_bound_id,
-)
+from .bounds import BOUNDS, bound_value, resolve_bound_id
 from .connectivity import vertex_connectivity
 from .graph6 import emit_code, read_stream
 from .graphs import Graph, from_code
@@ -174,14 +170,7 @@ def _resolve_grid(bound_id: str, alpha_grid) -> dict[float, str]:
 def _scalar_bound(branch_id: str, alpha: float, n: int, k: Optional[int],
                   r: Optional[int] = None) -> float:
     """The bound at n (and k, or vertex 0's part size r for thm31)."""
-    if branch_id.startswith("thm31"):
-        return complete_bipartite_bound(r, n - r, alpha)
-    family = BOUNDS[branch_id].family
-    if family == "bipartite":
-        return balanced_bipartite_bound(n, alpha)
-    if family == "connected":
-        return complete_graph_bound(n, alpha)
-    return connectivity_bound(n, k, alpha)
+    return bound_value(branch_id, alpha, n=n, k=k, r=r, s=None if r is None else n - r)
 
 
 class _Accumulator:
@@ -278,29 +267,35 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[tuple]
 
 
 def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) -> _Accumulator:
-    """The one evaluation loop: batched LAPACK spectra, power sums, margins
-    against each (alpha, k) bound, raw candidate violations and extremal
-    witnesses.  Returns acc, so the scan pool can run it on a unit."""
+    """The one evaluation loop: batched LAPACK spectra, power sums, margins,
+    raw candidate violations and extremal witnesses.  Returns acc, so the
+    scan pool can run it on a unit.
+
+    One mask member[i, j] = kappa_i <= ks[j] per batch decides every k (one
+    all-true column without kappa).  Each alpha costs one bound row over the
+    ks with members, one nonzero for the candidates and one masked
+    argmax/argmin for the witnesses, so ties keep the first graph."""
     for n, codes, rows, kappas, r in batches:
         eigs = _bulk.q_eigs(rows, n)
-        ks = [None] if kappas is None else range(1, n) if k_fixed is None else [k_fixed]
-        acc.count += len(codes) if kappas is None or k_fixed is None else int(np.sum(kappas <= k_fixed))
+        ks = [None] if kappas is None else list(range(1, n)) if k_fixed is None else [k_fixed]
+        member = np.ones((len(codes), 1), bool) if kappas is None else kappas[:, None] <= ks
+        live = member.any(axis=0)
+        ks, member = [k for k, keep in zip(ks, live) if keep], member[:, live]
+        acc.count += int(np.count_nonzero(member.any(axis=1)))
         for alpha, branch in branch_items:
             maximize = BOUNDS[branch].direction == "upper"
             vals = _bulk.power_sums(eigs, alpha)
-            for k in ks:
-                sel = np.arange(len(codes)) if k is None else np.flatnonzero(kappas <= k)
-                if sel.size == 0:
-                    continue
-                bval = _scalar_bound(branch, alpha, n, k, r=r)
-                vsel = vals[sel]
-                margins = bval - vsel if maximize else vsel - bval
-                for idx in np.flatnonzero(margins < -tol_eq(bval)):
-                    acc.raw.append((n, int(codes[sel[idx]]), k, alpha, branch,
-                                    float(vsel[idx]), float(bval)))
-                j = int(np.argmax(vsel)) if maximize else int(np.argmin(vsel))
-                acc.update_witness((n, k, branch, alpha), float(vsel[j]), n,
-                                   int(codes[sel[j]]), maximize)
+            bvals = np.array([_scalar_bound(branch, alpha, n, k, r=r) for k in ks])
+            tols = np.array([tol_eq(b) for b in bvals.tolist()])
+            margins = bvals - vals[:, None] if maximize else vals[:, None] - bvals
+            for i, j in zip(*np.nonzero(member & (margins < -tols))):
+                acc.raw.append((n, int(codes[i]), ks[j], alpha, branch,
+                                float(vals[i]), float(bvals[j])))
+            filled = np.where(member, vals[:, None], -np.inf if maximize else np.inf)
+            best = filled.argmax(axis=0) if maximize else filled.argmin(axis=0)
+            for k, i in zip(ks, best.tolist()):
+                acc.update_witness((n, k, branch, alpha), float(vals[i]), n,
+                                   int(codes[i]), maximize)
     return acc
 
 
@@ -365,9 +360,12 @@ def _threads_from_env(threads: Optional[int]) -> int:
     env = os.environ.get("QPOW_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            value = int(env)
+            if value < 1:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"QPOW_THREADS must be an integer, got {env!r}") from None
+            raise ValueError(f"QPOW_THREADS must be a positive integer, got {env!r}") from None
+        return value
     return os.cpu_count() or 1
 
 
@@ -389,7 +387,7 @@ def scan(
     varies between identical runs.  QPOW_THREADS (or the threads argument)
     caps worker parallelism; results are merged in canonical order so the
     report does not depend on the worker count.  A QPOW_THREADS that is not
-    an integer raises ValueError.
+    a positive integer raises ValueError.
     """
     t0 = time.perf_counter()
     ns = sorted(set(int(n) for n in n_values))
@@ -421,9 +419,10 @@ def scan(
         _evaluate(acc, _stream_batches(graphs, live, branch_items[0][1]), branch_items, k)
         source_name = "stream"
     violations = _reverify_all(acc.raw, family, branch_items)
+    encode = functools.cache(emit_code)  # one string per witness graph, not per key
     witnesses = [
         ExtremalWitness(n=key[0], k=key[1], alpha=key[3],
-                        graph6=emit_code(key[0], entry[2]), value=entry[0])
+                        graph6=encode(key[0], entry[2]), value=entry[0])
         for key, entry in sorted(
             acc.witness.items(),
             key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1], kv[0][3]),

@@ -5,7 +5,8 @@ eigenvalues come from numpy's LAPACK (the library default is the Jacobi
 solver), censuses come from naive per-code loops (the library enumerates with
 vectorized kernels), and odd cycles come from adjacency-matrix powers.  The
 Jacobi solver's earlier numpy-slice loop is kept as the bit-for-bit reference
-for its Python-float loop.
+for its Python-float loop, and the scan evaluator's earlier per-(alpha, k)
+loop as the reference for its k-mask loop.
 """
 
 from __future__ import annotations
@@ -15,13 +16,17 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from qpow import _bulk
+from qpow.bounds import BOUNDS
 from qpow.graphs import Graph, from_code
+from qpow.search import _scalar_bound
 from qpow.spectra import (
     JACOBI_CONV_SCALE,
     JACOBI_MAX_SWEEPS,
     ZERO_THRESHOLD_SCALE,
     EigensolverError,
 )
+from qpow.verify import tol_eq
 
 
 def eigvalsh_oracle(matrix) -> np.ndarray:
@@ -75,6 +80,34 @@ def jacobi_reference(m, conv_scale: float = JACOBI_CONV_SCALE,
     raise EigensolverError(f"Jacobi sweep budget ({max_sweeps}) exhausted")
 
 
+def evaluate_reference(acc, batches, branch_items, k_fixed):
+    """The scan evaluator as it was written per (alpha, k): one member
+    selection, bound, margin vector and argmax/argmin for every k of every
+    alpha.  search._evaluate must give the same count, witnesses and (in
+    sorted order) raw candidates."""
+    for n, codes, rows, kappas, r in batches:
+        eigs = _bulk.q_eigs(rows, n)
+        ks = [None] if kappas is None else range(1, n) if k_fixed is None else [k_fixed]
+        acc.count += len(codes) if kappas is None or k_fixed is None else int(np.sum(kappas <= k_fixed))
+        for alpha, branch in branch_items:
+            maximize = BOUNDS[branch].direction == "upper"
+            vals = _bulk.power_sums(eigs, alpha)
+            for k in ks:
+                sel = np.arange(len(codes)) if k is None else np.flatnonzero(kappas <= k)
+                if sel.size == 0:
+                    continue
+                bval = _scalar_bound(branch, alpha, n, k, r=r)
+                vsel = vals[sel]
+                margins = bval - vsel if maximize else vsel - bval
+                for idx in np.flatnonzero(margins < -tol_eq(bval)):
+                    acc.raw.append((n, int(codes[sel[idx]]), k, alpha, branch,
+                                    float(vsel[idx]), float(bval)))
+                j = int(np.argmax(vsel)) if maximize else int(np.argmin(vsel))
+                acc.update_witness((n, k, branch, alpha), float(vsel[j]), n,
+                                   int(codes[sel[j]]), maximize)
+    return acc
+
+
 def q_matrix_oracle(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
@@ -118,6 +151,27 @@ def nonzero_counts(eigs_desc: np.ndarray) -> np.ndarray:
 
 def degrees(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows)
+
+
+def bipartite_mask(rows: np.ndarray, n: int) -> np.ndarray:
+    """Two-colorability, valid for connected graphs (single parity closure)."""
+    vbits = np.arange(n, dtype=np.int32)
+    even = np.ones(rows.shape[0], dtype=np.int32)
+    odd = np.zeros(rows.shape[0], dtype=np.int32)
+    for _ in range(n):
+        sel_e = ((even[:, None] >> vbits) & 1).astype(np.int32)
+        sel_o = ((odd[:, None] >> vbits) & 1).astype(np.int32)
+        odd2 = odd | np.bitwise_or.reduce(rows * sel_e, axis=1)
+        even2 = even | np.bitwise_or.reduce(rows * sel_o, axis=1)
+        if np.array_equal(odd2, odd) and np.array_equal(even2, even):
+            break
+        even, odd = even2, odd2
+    return (even & odd) == 0
+
+
+def edge_counts(codes: np.ndarray) -> np.ndarray:
+    """Edges per code (popcount)."""
+    return np.bitwise_count(np.asarray(codes, dtype=np.uint64)).astype(np.int64)
 
 
 def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:

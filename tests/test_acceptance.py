@@ -29,7 +29,9 @@ from qpow.search import scan
 from qpow.spectra import q_spectrum
 from qpow.verify import tol_eq
 
-from conftest import degrees, l_eigs, nonzero_counts, power_sum_oracle, q_eigs_oracle
+from conftest import (
+    degrees, edge_counts, l_eigs, nonzero_counts, power_sum_oracle, q_eigs_oracle,
+)
 
 # independently published labeled census counts, cross-checked against the
 # enumeration kernels (which themselves are brute-force code sweeps)
@@ -128,7 +130,7 @@ def test_criterion_04_connectivity_bound_exhaustive():
             chunk = codes[lo:lo + _bulk.CHUNK]
             kchunk = kappas[lo:lo + chunk.size]
             eigs = _bulk.q_eigs(_bulk.decode_rows(chunk, n), n)
-            ms = _bulk.edge_counts(chunk)
+            ms = edge_counts(chunk)
             vals = {a: _bulk.power_sums(eigs, a) for a in alphas}
             for k in range(1, n):
                 sel = np.flatnonzero(kchunk <= k)
@@ -270,7 +272,7 @@ def test_criterion_08_trace_identities_and_interval_relations():
             rows = _bulk.decode_rows(chunk, n)
             q = _bulk.q_eigs(rows, n)
             l = l_eigs(rows, n)
-            ms = _bulk.edge_counts(chunk)
+            ms = edge_counts(chunk)
             degs = degrees(rows)
             m1 = np.sum(degs.astype(np.float64) ** 2, axis=1)
             s1 = _bulk.power_sums(q, 1.0)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qpow.cli import main
 from qpow.graph6 import emit_graph6, parse_graph6
 from qpow.graphs import construct_gi
@@ -229,6 +231,20 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4", "--alpha-grid", "1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "QPOW_THREADS" in err and "'lots'" in err
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_non_positive_threads_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QPOW_THREADS", value)
+        code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4", "--alpha-grid", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "QPOW_THREADS" in err and f"'{value}'" in err
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        path = str(tmp_path / "nonexistent.g6")
+        code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4",
+                             "--alpha-grid", "1", "--input", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and path in err and "Traceback" not in err
 
     def test_k_zero_rejected(self, capsys):
         code, out, err = run(capsys, "scan", "--id", "conj44", "--max-n", "4",

@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qpow import _bulk
 from qpow.bounds import BOUNDS, bound_value, gi_spectrum
-from qpow.graph6 import emit_graph6, parse_graph6
+from qpow.graph6 import emit_graph6, parse_graph6, read_stream
 from qpow.graphs import construct_gi
 from qpow.connectivity import vertex_connectivity
 from qpow.invariants import nonzero_power_sum
@@ -14,7 +20,7 @@ from qpow.search import REVERIFY_CONV_SCALE, enumerate_graphs, extremal_table, s
 from qpow.spectra import q_spectrum
 from qpow.verify import matches_extremal, tol_eq
 
-from conftest import connected_graphs_naive
+from conftest import connected_graphs_naive, evaluate_reference
 
 
 class TestEnumerate:
@@ -224,6 +230,17 @@ class TestReports:
         with pytest.raises(ValueError, match="QPOW_THREADS.*'two'"):
             scan("thm41", range(2, 5), [1])
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_non_positive_env_threads(self, monkeypatch, value):
+        monkeypatch.setenv("QPOW_THREADS", value)
+        with pytest.raises(ValueError, match=f"QPOW_THREADS.*'{value}'"):
+            scan("thm41", range(2, 5), [1])
+
+    def test_threads_argument_still_clamped(self, monkeypatch):
+        monkeypatch.delenv("QPOW_THREADS", raising=False)
+        a = scan("thm41", range(2, 5), [1], threads=0).to_json(redact_timing=True)
+        assert a == scan("thm41", range(2, 5), [1], threads=1).to_json(redact_timing=True)
+
     def test_csv_shape(self):
         report = scan("conj44", range(2, 5), [-1])
         csv = report.violations_csv()
@@ -403,3 +420,115 @@ class TestExtremalTable:
             extremal_table("thm43", 6, 2, k=k)
         with pytest.raises(ValueError, match="k="):
             extremal_table("thm43", 6, 2, k=k, source=iter(lines))
+
+
+def evaluate_both(batches, bound_id, alphas, k=None):
+    """Run the k-mask evaluator and the per-(alpha, k) reference on the same
+    batches and return both accumulators."""
+    branch_items = tuple(sorted(search._resolve_grid(bound_id, alphas).items()))
+    batches = list(batches)
+    new = search._evaluate(search._Accumulator(), batches, branch_items, k)
+    ref = evaluate_reference(search._Accumulator(), batches, branch_items, k)
+    return new, ref
+
+
+def assert_same(new, ref):
+    assert new.count == ref.count
+    assert new.witness == ref.witness
+    assert sorted(new.raw) == sorted(ref.raw)
+
+
+class TestEvaluateMatchesReference:
+    @pytest.mark.parametrize("alphas", [[-2, -1, -0.5], [0.25, 0.5, 0.75]], ids=["lower", "upper"])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_conj44_n5(self, alphas, k):
+        new, ref = evaluate_both(search._Unit(5, "kappa"), "conj44", alphas, k)
+        assert_same(new, ref)
+        assert new.count == (728 if k is None else 702)
+        assert {key[1] for key in new.witness} == ({1, 2, 3, 4} if k is None else {2})
+        if alphas[0] < 0:
+            assert new.raw
+
+    def test_thm31_splits_n6(self):
+        units = search._internal_units([6], "bipartite")
+        assert len({unit.amask.bit_count() for unit in units}) > 1
+        new, ref = evaluate_both(chain.from_iterable(units), "thm31", [-1, 0.5, 2])
+        assert_same(new, ref)
+        assert new.count == 3031
+
+    @pytest.mark.parametrize("bound_id,alphas,k", [
+        ("conj44", [-1, 0.5], None),
+        ("conj44", [-2, 0.75], 2),
+        ("thm41", [-1, 1], None),
+        ("thm31", [-1, 2], None),
+    ])
+    def test_stream_with_repeats_and_isomorphs(self, bound_id, alphas, k):
+        # every labeled copy of each connected graph on 4 and 5 vertices,
+        # then some lines again: exact ties among distinct codes occur
+        lines = [emit_graph6(g) for n in (4, 5) for g in enumerate_graphs(n, "connected")]
+        lines += lines[::7]
+        branch = search._resolve_grid(bound_id, alphas)[float(alphas[0])]
+        batches = list(search._stream_batches(read_stream(lines), {4, 5}, branch))
+        new, ref = evaluate_both(batches, bound_id, alphas, k)
+        assert_same(new, ref)
+
+    def test_exact_ties_pick_first_graph(self):
+        lines = [emit_graph6(g) for g in enumerate_graphs(4, "connected")]
+        (n, codes, rows, kappas, _), = search._stream_batches(read_stream(lines), {4}, "conj44-lower")
+        vals = _bulk.power_sums(_bulk.q_eigs(rows, n), -1.0)
+        new, _ = evaluate_both([(n, codes, rows, kappas, None)], "conj44", [-1])
+        ties = 0
+        for k in range(1, n):
+            members = np.flatnonzero(kappas <= k)
+            best = vals[members].min()
+            first = members[np.flatnonzero(vals[members] == best)[0]]
+            ties += int(np.sum(vals[members] == best)) - 1
+            assert new.witness[(n, k, "conj44-lower", -1.0)] == (best, n, int(codes[first]))
+        assert ties > 0
+
+
+class TestWitnessEncoding:
+    def test_one_string_per_witness_graph(self, monkeypatch):
+        calls = []
+        original = search.emit_code
+
+        def counting(n, code):
+            calls.append((n, code))
+            return original(n, code)
+
+        monkeypatch.setattr(search, "emit_code", counting)
+        graphs = [g for n in range(5, 9) for g in [construct_gi(n, 1, 1), construct_gi(n, 2, 1)]]
+        lines = [emit_graph6(g) for g in graphs]
+        report = scan("conj44", range(2, 9), [-2, -1, 0.5], source=iter(lines))
+        distinct = {(w.n, w.graph6) for w in report.extremal_witnesses}
+        assert len(report.extremal_witnesses) > len(distinct)
+        assert len(calls) <= len(distinct) + len(report.violations)
+        for w in report.extremal_witnesses:
+            assert w.graph6 in lines
+            assert w.graph6 == emit_graph6(parse_graph6(w.graph6))
+            g = parse_graph6(w.graph6)
+            assert w.value == pytest.approx(nonzero_power_sum(q_spectrum(g), w.alpha), rel=1e-9)
+
+
+class TestBenchHooks:
+    def test_traced_scan_counts_scalar_bound(self):
+        # the benchmark's tracer wraps qpow functions by name
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+            "import tracer\n"
+            "t = tracer.Tracer()\n"
+            "tracer.install(t)\n"
+            "import qpow.search as search\n"
+            "search.scan('conj44', range(2, 5), [-1, 0.5], threads=1)\n"
+            "print(t.calls['search.scalar_bound'], t.calls['bounds.connectivity_bound'],"
+            " t.calls['search.scan'])\n"
+        )
+        env = dict(os.environ)
+        env.pop("QPOW_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        scalar, connectivity, scans = map(int, done.stdout.split())
+        assert scalar > 0 and connectivity > 0 and scans == 1

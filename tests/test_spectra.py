@@ -17,6 +17,7 @@ from qpow.spectra import (
 )
 
 from conftest import (
+    bipartite_mask,
     connected_graphs_naive,
     eigvalsh_oracle,
     jacobi_reference,
@@ -179,7 +180,7 @@ class TestZeroClassification:
             rows = _bulk.decode_rows(codes[lo:lo + _bulk.CHUNK], 7)
             eigs = _bulk.q_eigs(rows, 7)
             thr = 1e-8 * np.maximum(eigs[:, 0], 1.0)
-            assert np.array_equal(eigs[:, -1] <= thr, _bulk.bipartite_mask(rows, 7))
+            assert np.array_equal(eigs[:, -1] <= thr, bipartite_mask(rows, 7))
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_bipartite_lq_cospectral(self, n):
