@@ -23,9 +23,7 @@ from .connectivity import (
     kappa_at_most,
     min_edge_cut,
     min_vertex_cut,
-    min_vertex_cut_bruteforce,
     vertex_connectivity,
-    vertex_connectivity_bruteforce,
 )
 from .graph6 import Graph6Error, emit_graph6, parse_graph6, read_stream
 from .graphs import (

@@ -108,11 +108,9 @@ def gi_spectrum(n: int, k: int, i: int) -> Spectrum:
     return spectrum_from_values(values)
 
 
-@lru_cache(maxsize=4096)
 def connectivity_bound(n: int, k: int, alpha: float) -> float:
     """b(n, k, alpha): the power sum of the closed-form spectrum at i = 1, the
-    sharp bound over connected graphs with vertex connectivity at most k.
-    Memoised per process: a scan asks for the same few values many times."""
+    sharp bound over connected graphs with vertex connectivity at most k."""
     _check_alpha(alpha)
     return nonzero_power_sum(gi_spectrum(n, k, 1), alpha)
 
@@ -142,17 +140,34 @@ def el_bound_vnk_as_printed(n: int, k: int) -> int:
     return n ** 3 + 2 * n ** 2 + (2 * k + 5) * n + k * k - k - 2
 
 
+# shape -> (graph family, parameter names, extremal graph, closed-form name).
+# The closed form is looked up by name at call time, so a wrapper installed on
+# the module attribute (a profiler, a tracer) sees every evaluation.
+_SHAPES: dict[str, tuple[str, tuple[str, ...], Callable[..., Graph], str]] = {
+    "parts": ("bipartite", ("r", "s"), complete_bipartite, "complete_bipartite_bound"),
+    "balanced": ("bipartite", ("n",), lambda n: complete_bipartite(n // 2, (n + 1) // 2),
+                 "balanced_bipartite_bound"),
+    "complete": ("connected", ("n",), complete, "complete_graph_bound"),
+    "gi": ("kappa", ("n", "k"), lambda n, k: construct_gi(n, k, 1), "connectivity_bound"),
+}
+
+
 @dataclass(frozen=True)
 class BoundSpec:
-    """One bound: its formula id, direction, graph family, alpha validity."""
+    """One bound: its formula id, direction, shape, alpha validity."""
 
     id: str
     direction: str  # "upper" | "lower"
-    family: str  # "bipartite" | "connected" | "kappa"
+    shape: str  # a key of _SHAPES
     status: str  # "theorem" | "conjecture"
     alpha_range: str
     extremal: str
     alpha_test: Callable[[float], bool] = field(compare=False)
+
+    @property
+    def family(self) -> str:
+        """The graph family: "bipartite" | "connected" | "kappa"."""
+        return _SHAPES[self.shape][0]
 
     def alpha_ok(self, alpha: float) -> bool:
         return self.alpha_test(float(alpha))
@@ -161,25 +176,25 @@ class BoundSpec:
 BOUNDS: dict[str, BoundSpec] = {
     spec.id: spec
     for spec in [
-        BoundSpec("thm31-upper", "upper", "bipartite", "theorem", "alpha > 0",
+        BoundSpec("thm31-upper", "upper", "parts", "theorem", "alpha > 0",
                   "complete bipartite graph on the same part sizes", lambda a: a > 0),
-        BoundSpec("thm31-lower", "lower", "bipartite", "theorem", "alpha < 0",
+        BoundSpec("thm31-lower", "lower", "parts", "theorem", "alpha < 0",
                   "complete bipartite graph on the same part sizes", lambda a: a < 0),
-        BoundSpec("thm32-upper", "upper", "bipartite", "theorem", "0 < alpha <= 1",
+        BoundSpec("thm32-upper", "upper", "balanced", "theorem", "0 < alpha <= 1",
                   "balanced complete bipartite graph", lambda a: 0 < a <= 1),
-        BoundSpec("thm32-lower", "lower", "bipartite", "theorem", "alpha < 0",
+        BoundSpec("thm32-lower", "lower", "balanced", "theorem", "alpha < 0",
                   "balanced complete bipartite graph", lambda a: a < 0),
-        BoundSpec("conj31-upper", "upper", "bipartite", "conjecture", "alpha > 1",
+        BoundSpec("conj31-upper", "upper", "balanced", "conjecture", "alpha > 1",
                   "balanced complete bipartite graph", lambda a: a > 1),
-        BoundSpec("thm41-upper", "upper", "connected", "theorem", "alpha > 0",
+        BoundSpec("thm41-upper", "upper", "complete", "theorem", "alpha > 0",
                   "complete graph", lambda a: a > 0),
-        BoundSpec("thm41-lower", "lower", "connected", "theorem", "alpha < 0",
+        BoundSpec("thm41-lower", "lower", "complete", "theorem", "alpha < 0",
                   "complete graph", lambda a: a < 0),
-        BoundSpec("thm43-upper", "upper", "kappa", "theorem", "alpha >= 1",
+        BoundSpec("thm43-upper", "upper", "gi", "theorem", "alpha >= 1",
                   "construct_gi(n, k, 1)", lambda a: a >= 1),
-        BoundSpec("conj44-upper", "upper", "kappa", "conjecture", "0 < alpha < 1",
+        BoundSpec("conj44-upper", "upper", "gi", "conjecture", "0 < alpha < 1",
                   "construct_gi(n, k, 1)", lambda a: 0 < a < 1),
-        BoundSpec("conj44-lower", "lower", "kappa", "conjecture", "alpha < 0",
+        BoundSpec("conj44-lower", "lower", "gi", "conjecture", "alpha < 0",
                   "construct_gi(n, k, 1)", lambda a: a < 0),
     ]
 }
@@ -210,47 +225,32 @@ def resolve_bound_id(id_or_alias: str, alpha: float) -> Optional[str]:
     raise ValueError(f"unknown bound id {id_or_alias!r}")
 
 
-def extremal_graph(bound_id: str, n: Optional[int] = None, k: Optional[int] = None,
-                   r: Optional[int] = None, s: Optional[int] = None) -> Graph:
-    """The claimed equality graph of a bound, constructed."""
-    spec = BOUNDS[bound_id]
-    if bound_id.startswith("thm31"):
-        if r is None or s is None:
-            raise ValueError(f"{bound_id} needs part sizes r and s")
-        return complete_bipartite(r, s)
-    if spec.family == "bipartite":
-        if n is None:
-            raise ValueError(f"{bound_id} needs n")
-        return complete_bipartite(n // 2, (n + 1) // 2)
-    if spec.family == "connected":
-        if n is None:
-            raise ValueError(f"{bound_id} needs n")
-        return complete(n)
-    if n is None or k is None:
-        raise ValueError(f"{bound_id} needs n and k")
-    return construct_gi(n, k, 1)
-
-
-def bound_value(bound_id: str, alpha: float, n: Optional[int] = None, k: Optional[int] = None,
-                r: Optional[int] = None, s: Optional[int] = None) -> float:
-    """Evaluate a bound formula under its stated alpha validity."""
+def _shape(bound_id: str, n: Optional[int], k: Optional[int], r: Optional[int],
+           s: Optional[int]) -> tuple[BoundSpec, tuple[int, ...]]:
+    """The spec of a bound and the values of its shape's parameters, in order."""
     spec = BOUNDS.get(bound_id)
     if spec is None:
         raise ValueError(f"unknown bound id {bound_id!r}")
+    given = {"n": n, "k": k, "r": r, "s": s}
+    names = _SHAPES[spec.shape][1]
+    if any(given[p] is None for p in names):
+        raise ValueError(f"{bound_id} needs {' and '.join(names)}")
+    return spec, tuple(given[p] for p in names)
+
+
+def extremal_graph(bound_id: str, n: Optional[int] = None, k: Optional[int] = None,
+                   r: Optional[int] = None, s: Optional[int] = None) -> Graph:
+    """The claimed equality graph of a bound, constructed."""
+    spec, params = _shape(bound_id, n, k, r, s)
+    return _SHAPES[spec.shape][2](*params)
+
+
+@lru_cache(maxsize=4096)
+def bound_value(bound_id: str, alpha: float, n: Optional[int] = None, k: Optional[int] = None,
+                r: Optional[int] = None, s: Optional[int] = None) -> float:
+    """Evaluate a bound formula under its stated alpha validity.  Memoised per
+    process: a scan asks for the same few values many times."""
+    spec, params = _shape(bound_id, n, k, r, s)
     if not spec.alpha_ok(alpha):
         raise ValueError(f"alpha={alpha} outside the stated range of {bound_id} ({spec.alpha_range})")
-    if bound_id.startswith("thm31"):
-        if r is None or s is None:
-            raise ValueError(f"{bound_id} needs part sizes r and s")
-        return complete_bipartite_bound(r, s, alpha)
-    if spec.family == "bipartite":
-        if n is None:
-            raise ValueError(f"{bound_id} needs n")
-        return balanced_bipartite_bound(n, alpha)
-    if spec.family == "connected":
-        if n is None:
-            raise ValueError(f"{bound_id} needs n")
-        return complete_graph_bound(n, alpha)
-    if n is None or k is None:
-        raise ValueError(f"{bound_id} needs n and k")
-    return connectivity_bound(n, k, alpha)
+    return globals()[_SHAPES[spec.shape][3]](*params, alpha)

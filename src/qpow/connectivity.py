@@ -4,8 +4,9 @@ kappa uses minimum s-t vertex cuts on the split-vertex transform, minimized
 over a fixed minimum-degree vertex v0 against its non-neighbors plus all
 non-adjacent pairs inside N(v0); that candidate set always contains a pair
 separated by some global minimum cut.  epsilon uses s-t edge max-flow from a
-fixed vertex to every other vertex.  A brute-force minimum-vertex-cut sweep is
-kept alongside as the independent oracle.
+fixed vertex to every other vertex.  Each quantity has one flow routine that
+returns the value with its witness cut; the value-only entry points take the
+first element.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def _reach(rows, start_mask: int, keep: int) -> int:
         reach = nxt
 
 
-def _st_vertex_flow(rows, n: int, s: int, t: int, limit: int, want_cut: bool):
-    """Max number of internally vertex-disjoint s-t paths, capped at limit.
+def _st_vertex_flow(rows, n: int, s: int, t: int, limit: int):
+    """Max number of internally vertex-disjoint s-t paths, capped at limit,
+    with a minimum s-t vertex cut when the flow stays below limit (else None).
 
     Split transform: node v becomes v_in = v and v_out = v + n with a
     capacity-1 arc between them; each edge u~v adds u_out -> v_in both ways.
@@ -95,8 +97,6 @@ def _st_vertex_flow(rows, n: int, s: int, t: int, limit: int, want_cut: bool):
         flow += 1
         if flow >= limit:
             return flow, None
-    if not want_cut:
-        return flow, None
     # min cut = vertices whose split arc crosses the reachable frontier
     cut = tuple(v for v in range(n) if (seen >> v) & 1 and not (seen >> (v + n)) & 1)
     return flow, cut
@@ -109,55 +109,42 @@ def _vertex_candidates(rows, n: int, v0: int):
     return [(v0, u) for u in non_nbrs] + pairs
 
 
-def kappa_flow_from_rows(rows, n: int) -> int:
-    """Flow-based kappa straight from adjacency bitmask rows (sweep-friendly)."""
+def _min_vertex_cut_rows(rows, n: int) -> tuple[int, tuple[int, ...]]:
+    """(kappa, witness vertex cut) straight from adjacency bitmask rows."""
     full = (1 << n) - 1
     if _reach(rows, 1, full) != full:
-        return 0
+        return 0, ()
     degs = [r.bit_count() for r in rows]
     if all(d == n - 1 for d in degs):
-        return n - 1
+        return n - 1, ()
     v0 = min(range(n), key=lambda v: degs[v])
-    best = degs[v0]
+    best, best_cut = degs[v0], None
     for s, t in _vertex_candidates(rows, n, v0):
-        flow, _ = _st_vertex_flow(rows, n, s, t, best, want_cut=False)
+        flow, cut = _st_vertex_flow(rows, n, s, t, best)
         if flow < best:
-            best = flow
+            best, best_cut = flow, cut
         if best <= 1:
             break
-    return best
+    if best_cut is None:  # no pair beat the neighbourhood of v0
+        best_cut = tuple(u for u in range(n) if (rows[v0] >> u) & 1)
+    return best, best_cut
 
 
 def min_vertex_cut(g: Graph) -> tuple[int, tuple[int, ...]]:
     """(kappa, witness vertex cut).  The witness is empty for disconnected
     graphs (already disconnected) and for complete graphs (no cut exists;
     kappa = n-1 by convention)."""
-    n = g.n
-    if not g.is_connected():
-        return 0, ()
-    degs = g.degree_sequence()
-    if all(d == n - 1 for d in degs):
-        return n - 1, ()
-    v0 = min(range(n), key=lambda v: degs[v])
-    best = degs[v0]
-    best_cut = tuple(g.neighbors(v0)) if degs[v0] < n - 1 else None
-    for s, t in _vertex_candidates(g.rows, n, v0):
-        flow, cut = _st_vertex_flow(g.rows, n, s, t, best, want_cut=True)
-        if flow < best:
-            best, best_cut = flow, cut
-        if best <= 1:
-            break
-    assert best_cut is not None
-    return best, best_cut
+    return _min_vertex_cut_rows(g.rows, g.n)
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """kappa, by flow only (no witness bookkeeping; the fast path for sweeps)."""
-    return kappa_flow_from_rows(g.rows, g.n)
+    """kappa, by flow."""
+    return _min_vertex_cut_rows(g.rows, g.n)[0]
 
 
-def _st_edge_flow(rows, n: int, s: int, t: int, limit: int, want_cut: bool):
-    """Max s-t edge-disjoint paths via BFS augmentation on a capacity matrix."""
+def _st_edge_flow(rows, n: int, s: int, t: int, limit: int):
+    """Max s-t edge-disjoint paths via BFS augmentation on a capacity matrix,
+    with a minimum s-t edge cut when the flow stays below limit (else None)."""
     cap = [[0] * n for _ in range(n)]
     for v in range(n):
         mv = rows[v]
@@ -199,8 +186,6 @@ def _st_edge_flow(rows, n: int, s: int, t: int, limit: int, want_cut: bool):
         flow += 1
         if flow >= limit:
             return flow, None
-    if not want_cut:
-        return flow, None
     cut = []
     for u in range(n):
         if not (reach_mask >> u) & 1:
@@ -217,9 +202,7 @@ def _st_edge_flow(rows, n: int, s: int, t: int, limit: int, want_cut: bool):
 def min_edge_cut(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(epsilon, witness edge cut); empty witness when already disconnected."""
     n = g.n
-    if n == 1:
-        return 0, ()
-    if not g.is_connected():
+    if n == 1 or not g.is_connected():
         return 0, ()
     degs = g.degree_sequence()
     v0 = min(range(n), key=lambda v: degs[v])
@@ -228,7 +211,7 @@ def min_edge_cut(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     for t in range(n):
         if t == v0:
             continue
-        flow, cut = _st_edge_flow(g.rows, n, v0, t, best, want_cut=True)
+        flow, cut = _st_edge_flow(g.rows, n, v0, t, best)
         if flow < best:
             best, best_cut = flow, cut
         if best <= 1:
@@ -237,22 +220,8 @@ def min_edge_cut(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def edge_connectivity(g: Graph) -> int:
-    """epsilon, by flow only."""
-    n = g.n
-    if n == 1 or not g.is_connected():
-        return 0
-    degs = g.degree_sequence()
-    v0 = min(range(n), key=lambda v: degs[v])
-    best = degs[v0]
-    for t in range(n):
-        if t == v0:
-            continue
-        flow, _ = _st_edge_flow(g.rows, n, v0, t, best, want_cut=False)
-        if flow < best:
-            best = flow
-        if best <= 1:
-            break
-    return best
+    """epsilon, by flow."""
+    return min_edge_cut(g)[0]
 
 
 def connectivity_profile(g: Graph) -> ConnectivityProfile:
@@ -266,24 +235,3 @@ def kappa_at_most(g: Graph, k: int) -> bool:
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={g.n}")
     return vertex_connectivity(g) <= k
-
-
-def min_vertex_cut_bruteforce(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Oracle: smallest disconnecting vertex subset by exhaustive sweep."""
-    n = g.n
-    rows = g.rows
-    full = (1 << n) - 1
-    if _reach(rows, 1, full) != full:
-        return 0, ()
-    for size in range(1, n - 1):
-        for subset in combinations(range(n), size):
-            keep = full
-            for v in subset:
-                keep &= ~(1 << v)
-            if _reach(rows, keep & -keep, keep) != keep:
-                return size, subset
-    return n - 1, ()
-
-
-def vertex_connectivity_bruteforce(g: Graph) -> int:
-    return min_vertex_cut_bruteforce(g)[0]

@@ -13,8 +13,8 @@ from .spectra import Spectrum, a_spectrum, l_spectrum, q_spectrum
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if alpha == 0.0 or math.isnan(alpha):
-        raise ValueError("alpha must be a non-zero real number")
+    if alpha == 0.0 or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite non-zero real number, got {alpha:g}")
     return alpha
 
 

@@ -33,7 +33,7 @@ from .bounds import BOUNDS, bound_value, resolve_bound_id
 from .connectivity import vertex_connectivity
 from .graph6 import emit_code, read_stream
 from .graphs import Graph, from_code
-from .invariants import nonzero_power_sum
+from .invariants import _check_alpha, nonzero_power_sum
 from .spectra import q_spectrum
 from .verify import tol_eq
 
@@ -154,9 +154,7 @@ def _resolve_grid(bound_id: str, alpha_grid) -> dict[float, str]:
     """Map each grid alpha to the applicable branch id (family aliases fan out)."""
     branch_map: dict[float, str] = {}
     for alpha in alpha_grid:
-        alpha = float(alpha)
-        if alpha == 0.0:
-            raise ValueError("alpha = 0 is not a valid grid point")
+        alpha = _check_alpha(alpha)
         branch = resolve_bound_id(bound_id, alpha)
         if branch is None:
             raise ValueError(f"no branch of {bound_id!r} covers alpha={alpha:g}")
@@ -236,7 +234,8 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[tuple]
     stream order and witness ties break as they do in enumeration order.
     Codes stay Python ints (they overflow int64 from n = 12); connectivity
     is the per-graph flow value, which beats the batch sweep on one graph."""
-    family = BOUNDS[branch].family
+    spec = BOUNDS[branch]
+    family = spec.family
     buffers: dict[int, tuple] = {}  # n -> (r, codes, rows, kappas)
 
     def flush(n):
@@ -252,7 +251,7 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[tuple]
             parts = g.bipartition()
             if parts is None:
                 continue
-            if branch.startswith("thm31"):
+            if spec.shape == "parts":
                 r = parts[0]
         buf = buffers.get(g.n)
         if buf is not None and (buf[0] != r or len(buf[1]) == STREAM_BATCH):
@@ -317,7 +316,7 @@ def _reverify(raw) -> Optional[ViolationRecord]:
     spec = BOUNDS[branch]
     value = nonzero_power_sum(spectrum, alpha)
     r = None
-    if branch.startswith("thm31"):
+    if spec.shape == "parts":
         if parts is None:
             raise RuntimeError(f"re-verification: {emit_code(n, code)} is not bipartite")
         r = parts[0]
@@ -343,7 +342,7 @@ def _reverify_all(raws: list[tuple], family: str, branch_items) -> list[Violatio
     pool they finish sooner on an idle machine, but their time then rises and
     falls with the load on every core, not just one."""
     graphs = sorted({(raw[0], raw[1]) for raw in raws})
-    need_parts = any(branch.startswith("thm31") for _, branch in branch_items)
+    need_parts = any(BOUNDS[branch].shape == "parts" for _, branch in branch_items)
     jobs = [(n, code, family == "kappa", need_parts) for n, code in graphs]
     facts = dict(zip(graphs, map(_slow_facts, jobs)))
     violations = []
@@ -398,8 +397,9 @@ def scan(
     branch_items = tuple(sorted(branch_map.items()))
     # the bounds are defined for n >= 2, and for a fixed k only where k <= n-1
     live = {n for n in ns if n >= 2 and (k is None or k <= n - 1)}
-    if k is not None and not live:
-        raise ValueError(f"k={k} exceeds n-1 for every requested n")
+    if not live:
+        need = "n >= 2" if k is None else f"n >= 2 and k={k} <= n-1"
+        raise ValueError(f"no requested n is applicable: the bounds need {need}")
     acc = _Accumulator()
     if source is None:
         units = _internal_units(sorted(live), family)

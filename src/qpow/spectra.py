@@ -153,9 +153,7 @@ def jacobi_eigenvalues(
 
 def eigenvalues(m: np.ndarray, conv_scale: float = JACOBI_CONV_SCALE) -> Spectrum:
     """Full Spectrum of a symmetric matrix via the Jacobi solver."""
-    vals = jacobi_eigenvalues(m, conv_scale=conv_scale)
-    top = float(vals[0])
-    return Spectrum(vals, ZERO_THRESHOLD_SCALE * max(1.0, top))
+    return spectrum_from_values(jacobi_eigenvalues(m, conv_scale=conv_scale))
 
 
 def q_spectrum(g: Graph, conv_scale: float = JACOBI_CONV_SCALE) -> Spectrum:

@@ -19,9 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .bounds import BOUNDS, bound_value, extremal_graph
+from .connectivity import vertex_connectivity
 from .graph6 import emit_graph6
 from .graphs import Graph
 from .invariants import (
+    _check_alpha,
     laplacian_power_sum,
     named_invariants,
     nonzero_power_sum,
@@ -86,9 +88,7 @@ def check_bound(g: Graph, bound_id: str, alpha: float, k: Optional[int] = None) 
     if spec is None:
         raise ValueError(f"unknown bound id {bound_id!r}")
     g6 = emit_graph6(g)
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise ValueError("alpha must be non-zero")
+    alpha = _check_alpha(alpha)
     if not spec.alpha_ok(alpha):
         return _inapplicable(bound_id, g6, alpha, f"alpha={alpha:g} outside {spec.alpha_range}")
     if not g.is_connected():
@@ -106,17 +106,10 @@ def check_bound(g: Graph, bound_id: str, alpha: float, k: Optional[int] = None) 
             raise ValueError(f"{bound_id} needs the connectivity parameter k")
         if not 1 <= k <= g.n - 1:
             raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={g.n}")
-        from .connectivity import vertex_connectivity
-
         kappa = vertex_connectivity(g)
         if kappa > k:
             return _inapplicable(bound_id, g6, alpha, f"vertex connectivity {kappa} exceeds k={k}")
-    if bound_id.startswith("thm31"):
-        bval = bound_value(bound_id, alpha, r=r, s=s)
-    elif spec.family == "kappa":
-        bval = bound_value(bound_id, alpha, n=g.n, k=k)
-    else:
-        bval = bound_value(bound_id, alpha, n=g.n)
+    bval = bound_value(bound_id, alpha, n=g.n, k=k, r=r, s=s)
     value = signless_power_sum(g, alpha)
     slack = bval - value if spec.direction == "upper" else value - bval
     return BoundResult(
@@ -129,21 +122,20 @@ def check_bound(g: Graph, bound_id: str, alpha: float, k: Optional[int] = None) 
 def matches_extremal(g: Graph, bound_id: str, k: Optional[int] = None) -> bool:
     """Does g agree with the bound's claimed equality graph on edge count,
     sorted degrees and the full signless Laplacian spectrum?"""
-    kwargs = {"n": g.n, "k": k}
-    if bound_id.startswith("thm31"):
+    r = s = None
+    if BOUNDS[bound_id].shape == "parts":
         parts = g.bipartition()
         if parts is None:
             return False
-        kwargs = {"r": parts[0], "s": parts[1]}
-    target = extremal_graph(bound_id, **kwargs)
+        r, s = parts
+    target = extremal_graph(bound_id, n=g.n, k=k, r=r, s=s)
     if target.n != g.n or target.m != g.m:
         return False
     if sorted(target.degree_sequence()) != sorted(g.degree_sequence()):
         return False
     a = q_spectrum(g).values
     b = q_spectrum(target).values
-    tol = TOL_EQ_SCALE * max(1.0, float(b[0]))
-    return bool(np.max(np.abs(a - b)) <= tol)
+    return bool(np.max(np.abs(a - b)) <= tol_eq(float(b[0])))
 
 
 @dataclass(frozen=True)
@@ -206,9 +198,7 @@ def check_edge_monotonicity(g: Graph, alpha: float) -> EdgeMonotonicityCheck:
     deletion creates a zero eigenvalue the classified sum changes population
     and the observed direction is recorded without being asserted.
     """
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise ValueError("alpha must be non-zero")
+    alpha = _check_alpha(alpha)
     sq = q_spectrum(g)
     value_g = nonzero_power_sum(sq, alpha)
     records = []

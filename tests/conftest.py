@@ -6,12 +6,13 @@ solver), censuses come from naive per-code loops (the library enumerates with
 vectorized kernels), and odd cycles come from adjacency-matrix powers.  The
 Jacobi solver's earlier numpy-slice loop is kept as the bit-for-bit reference
 for its Python-float loop, and the scan evaluator's earlier per-(alpha, k)
-loop as the reference for its k-mask loop.
+loop as the reference for its k-mask loop.  Vertex connectivity comes from an
+exhaustive sweep over vertex subsets (the library runs max-flow).
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -185,6 +186,27 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in hedges for u, v in g.edges()):
             return True
     return False
+
+
+def min_vertex_cut_bruteforce(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Smallest disconnecting vertex subset by exhaustive sweep (kappa = n-1
+    with an empty witness when no subset disconnects)."""
+    n = g.n
+    if not g.is_connected():
+        return 0, ()
+    for size in range(1, n - 1):
+        for subset in combinations(range(n), size):
+            keep = [v for v in range(n) if v not in subset]
+            index = {v: i for i, v in enumerate(keep)}
+            sub = Graph(len(keep), [(index[u], index[v]) for u, v in g.edges()
+                                    if u in index and v in index])
+            if not sub.is_connected():
+                return size, subset
+    return n - 1, ()
+
+
+def vertex_connectivity_bruteforce(g: Graph) -> int:
+    return min_vertex_cut_bruteforce(g)[0]
 
 
 def all_graphs(n: int):

@@ -21,7 +21,7 @@ from qpow.bounds import (
     gi_spectrum,
     max_edges_vnk,
 )
-from qpow.connectivity import kappa_flow_from_rows
+from qpow.connectivity import _min_vertex_cut_rows
 from qpow.graph6 import emit_code, parse_graph6
 from qpow.graphs import complete, complete_bipartite, construct_gi, from_code
 from qpow.invariants import named_invariants
@@ -345,7 +345,7 @@ def test_criterion_10_oracles():
         rows_all = _bulk.decode_rows(codes, n)
         for i in range(codes.size):
             rows = tuple(int(x) for x in rows_all[i])
-            assert kappa_flow_from_rows(rows, n) == int(kappas[i]), (n, int(codes[i]))
+            assert _min_vertex_cut_rows(rows, n)[0] == int(kappas[i]), (n, int(codes[i]))
         checked += codes.size
     # graph6 round trip is the identity on every labeled graph n <= 5
     rt = 0

@@ -21,6 +21,7 @@ from qpow.bounds import (
 )
 from qpow.graphs import complete, complete_bipartite, construct_gi
 from qpow.invariants import nonzero_power_sum, signless_power_sum
+from qpow.verify import tol_eq
 
 from conftest import q_eigs_oracle
 
@@ -137,14 +138,16 @@ class TestConnectivityBound:
         assert connectivity_bound(4, 1, 2) == pytest.approx(26.0, abs=1e-9)
 
     def test_memoised(self):
-        connectivity_bound.cache_clear()
-        first = connectivity_bound(9, 3, 0.5)
-        assert connectivity_bound(9, 3, 0.5) == first
-        assert connectivity_bound.cache_info().hits == 1
+        # the cache sits on the one bound dispatch, bound_value
+        bound_value.cache_clear()
+        first = bound_value("conj44-upper", 0.5, n=9, k=3)
+        assert bound_value("conj44-upper", 0.5, n=9, k=3) == first
+        assert bound_value.cache_info().hits == 1
         with pytest.raises(ValueError):
-            connectivity_bound(9, 9, 0.5)  # errors are raised every time, not cached
+            bound_value("conj44-upper", 0.5, n=9, k=9)  # errors are raised every time, not cached
         with pytest.raises(ValueError):
-            connectivity_bound(9, 9, 0.5)
+            bound_value("conj44-upper", 0.5, n=9, k=9)
+        assert bound_value.cache_info().hits == 1
 
     def test_alpha1_polynomial_exact(self):
         for n in range(2, 31):
@@ -212,6 +215,29 @@ class TestRegistry:
             bound_value("thm43-upper", 2, n=5)  # k missing
         with pytest.raises(ValueError):
             bound_value("thm31-upper", 1, n=5)  # r, s missing
+
+    def test_extremal_graph_unknown_id(self):
+        with pytest.raises(ValueError, match="unknown bound id"):
+            extremal_graph("nope", n=5)
+        with pytest.raises(ValueError, match="needs n and k"):
+            extremal_graph("conj44-lower", n=5)
+
+    @pytest.mark.parametrize("bound_id", sorted(BOUNDS))
+    def test_closed_form_is_power_sum_of_extremal_graph(self, bound_id):
+        spec = BOUNDS[bound_id]
+        alphas = [a for a in (-2, -1, -0.5, 0.25, 0.5, 0.75, 1, 1.5, 2, 3) if spec.alpha_ok(a)]
+        if spec.shape == "parts":
+            params = [{"r": r, "s": s} for r in range(1, 4) for s in range(1, 4)]
+        elif spec.family == "kappa":
+            params = [{"n": n, "k": k} for n in range(2, 8) for k in range(1, n)]
+        else:
+            params = [{"n": n} for n in range(2, 8)]
+        for p in params:
+            g = extremal_graph(bound_id, **p)
+            for alpha in alphas:
+                want = signless_power_sum(g, alpha)
+                got = bound_value(bound_id, alpha, **p)
+                assert abs(got - want) <= tol_eq(want), (bound_id, p, alpha)
 
     def test_extremal_graph(self):
         assert extremal_graph("thm41-upper", n=5) == complete(5)

@@ -55,6 +55,13 @@ class TestInvariant:
         code, out, _ = run(capsys, "invariant", "--graph6", "C~", "--name", "M1")
         assert code == 0 and out.strip() == "36"
 
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    def test_salpha_non_finite_alpha(self, capsys, alpha):
+        code, out, err = run(capsys, "invariant", "--graph6", "Bw", "--name", "Salpha",
+                             f"--alpha={alpha}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_disconnected_kf_usage_error(self, capsys):
         code, _, err = run(capsys, "invariant", "--graph6", "A?", "--name", "Kf")
         assert code == 2
@@ -106,6 +113,17 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--id", "thm32-upper", "--n", "4", "--alpha", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--id", "thm41", "--n", "4"),
+        ("--id", "thm31-upper", "--r", "2", "--s", "3"),
+        ("--id", "conj31", "--n", "4"),
+        ("--id", "thm43-upper", "--n", "5", "--k", "2"),
+    ])
+    def test_alpha_inf_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "bounds", *argv, "--alpha", "inf")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestCheck:
     def test_inapplicable_exit_2(self, capsys):
@@ -133,6 +151,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--id", "conj44", "--graph6", "Bg",
                            "--alpha", "-1", "--k", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("cid", ["thm41-upper", "monotonicity"])
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    def test_non_finite_alpha(self, capsys, cid, alpha):
+        code, out, err = run(capsys, "check", "--id", cid, "--graph6", "Bw", f"--alpha={alpha}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
 
     def test_interlacing(self, capsys):
         code, out, _ = run(capsys, "check", "--id", "interlacing", "--graph6", "C~")
@@ -262,6 +287,18 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--id", "thm32", "--max-n", "4",
                            "--alpha-grid", "0")
         assert code == 2
+
+    def test_alpha_inf_rejected(self, capsys):
+        code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4",
+                             "--alpha-grid", "inf")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("ns", [("--min-n", "5", "--max-n", "3"), ("--max-n", "1")])
+    def test_empty_n_range_rejected(self, capsys, ns):
+        code, out, err = run(capsys, "scan", "--id", "conj44", *ns, "--alpha-grid", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "n >= 2" in err
 
 
 class TestExitCodes:

@@ -1,15 +1,13 @@
 import pytest
 
 from qpow.connectivity import (
+    _min_vertex_cut_rows,
     connectivity_profile,
     edge_connectivity,
     kappa_at_most,
-    kappa_flow_from_rows,
     min_edge_cut,
     min_vertex_cut,
-    min_vertex_cut_bruteforce,
     vertex_connectivity,
-    vertex_connectivity_bruteforce,
 )
 from qpow.graphs import (
     Graph,
@@ -21,7 +19,12 @@ from qpow.graphs import (
     path,
 )
 
-from conftest import connected_graphs_naive, random_graph
+from conftest import (
+    connected_graphs_naive,
+    min_vertex_cut_bruteforce,
+    random_graph,
+    vertex_connectivity_bruteforce,
+)
 
 
 class TestVertexConnectivity:
@@ -76,7 +79,8 @@ class TestVertexConnectivity:
 
     def test_rows_entry_point(self):
         g = construct_gi(7, 3, 2)
-        assert kappa_flow_from_rows(g.rows, g.n) == vertex_connectivity(g) == 3
+        assert _min_vertex_cut_rows(g.rows, g.n) == min_vertex_cut(g)
+        assert _min_vertex_cut_rows(g.rows, g.n)[0] == vertex_connectivity(g) == 3
 
 
 class TestEdgeConnectivity:

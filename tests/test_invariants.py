@@ -34,6 +34,13 @@ class TestNonzeroPowerSum:
         with pytest.raises(ValueError):
             nonzero_power_sum(spectrum_from_values([1.0]), 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            nonzero_power_sum(spectrum_from_values([5, 3, 2, 2, 0]), alpha)
+        with pytest.raises(ValueError, match="finite"):
+            signless_power_sum(complete(3), alpha)
+
     def test_all_zero_negative_alpha(self):
         s = q_spectrum(empty(3))
         with pytest.raises(ValueError):

@@ -180,6 +180,20 @@ class TestScanConjectures:
         with pytest.raises(ValueError):
             scan("thm32", range(2, 5), [0.0])
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            scan("thm41", range(2, 5), [alpha])
+        with pytest.raises(ValueError, match="finite"):
+            scan("thm41", range(2, 5), [1, alpha], source=iter(["Bw"]))
+
+    @pytest.mark.parametrize("ns", [range(5, 4), [1], range(-3, 2)])
+    def test_no_applicable_n_rejected(self, ns):
+        with pytest.raises(ValueError, match="n >= 2"):
+            scan("conj44", ns, [0.5])
+        with pytest.raises(ValueError, match="n >= 2"):
+            scan("thm41", ns, [1], source=iter(["Bw"]))
+
     def test_one_slow_solve_per_distinct_violating_graph(self, monkeypatch):
         solves = []
 
@@ -510,25 +524,47 @@ class TestWitnessEncoding:
             assert w.value == pytest.approx(nonzero_power_sum(q_spectrum(g), w.alpha), rel=1e-9)
 
 
+def run_traced(body: str) -> list[int]:
+    """Run body in a fresh interpreter under the benchmark's tracer (which
+    wraps qpow functions by module-attribute name) and return the integers it
+    prints."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+        "import tracer\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "import qpow.search as search\n"
+    ) + body
+    env = dict(os.environ)
+    env.pop("QPOW_THREADS", None)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return list(map(int, done.stdout.split()))
+
+
 class TestBenchHooks:
     def test_traced_scan_counts_scalar_bound(self):
-        # the benchmark's tracer wraps qpow functions by name
-        root = Path(__file__).resolve().parents[1]
-        code = (
-            "import sys\n"
-            f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
-            "import tracer\n"
-            "t = tracer.Tracer()\n"
-            "tracer.install(t)\n"
-            "import qpow.search as search\n"
+        scalar, connectivity, scans = run_traced(
             "search.scan('conj44', range(2, 5), [-1, 0.5], threads=1)\n"
             "print(t.calls['search.scalar_bound'], t.calls['bounds.connectivity_bound'],"
             " t.calls['search.scan'])\n"
         )
-        env = dict(os.environ)
-        env.pop("QPOW_THREADS", None)
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        scalar, connectivity, scans = map(int, done.stdout.split())
         assert scalar > 0 and connectivity > 0 and scans == 1
+
+    def test_traced_stream_scan_counts_connectivity(self):
+        # the closed forms are looked up by name, so the wrapped connectivity_bound
+        # runs once per distinct argument behind the bound_value cache
+        graphs = [construct_gi(n, k, 1) for n in range(5, 9) for k in (1, 2)]
+        lines = [emit_graph6(g) for g in graphs] * 2
+        kappa, scalar, bound, distinct = run_traced(
+            "for _ in range(2):\n"
+            f"    search.scan('conj44', range(2, 9), [-1, 0.5], source=iter({lines!r}))\n"
+            "print(t.calls['connectivity.vertex_connectivity'], t.calls['search.scalar_bound'],"
+            " t.calls['bounds.connectivity_bound'],"
+            " len(t.distinct['bounds.connectivity_bound']))\n"
+        )
+        assert kappa >= 2 * len(lines)
+        assert 0 < bound == distinct and scalar == 2 * distinct

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,11 @@ class TestEdgeMonotonicity:
         assert all(rec.asserted and rec.holds for rec in r.records)
         assert all(rec.margin == pytest.approx(2.0, abs=1e-8) for rec in r.records)
 
+    @pytest.mark.parametrize("alpha", [0.0, math.inf, -math.inf, math.nan])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            check_edge_monotonicity(complete(4), alpha)
+
     def test_k3_negative_alpha_recorded_not_asserted(self):
         r = check_edge_monotonicity(complete(3), -1)
         # every deletion turns K3 into a bipartite path: h drops, nothing asserted
@@ -115,6 +121,11 @@ class TestCospectral:
 
 
 class TestCheckBound:
+    @pytest.mark.parametrize("alpha", [0.0, math.inf, -math.inf, math.nan])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            check_bound(complete(4), "thm41-upper", alpha)
+
     def test_equality_on_extremal_bipartite(self):
         r = check_bound(complete_bipartite(2, 3), "thm31-lower", -1)
         assert r.applicable and r.equality
