@@ -2,15 +2,19 @@
 
 Labeled graphs on n vertices are integer edge codes (upper-triangle bits in
 graph6 order).  Everything here works on numpy arrays of codes or of per-
-vertex adjacency bitmasks, in fixed-size chunks, so full populations up to
-n = 8 stay in the acceptance-criteria runtime budgets on one core.  Results
-feed the search module; single-graph questions go through the ordinary Graph
-API instead.
+vertex adjacency bitmasks, in chunks of at most CHUNK graphs, which caps the
+memory of one batch.  The kernels are enumeration with connectivity and
+kappa filters, batched signless Laplacian spectra and power sums, and upper
+bounds on the power sums from exact integer trace moments, which let a scan
+skip the eigensolve of graphs that cannot reach its report.  Results feed the
+search module; single-graph questions go through the ordinary Graph API
+instead.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +75,45 @@ def power_sums(eigs_desc: np.ndarray, alpha: float) -> np.ndarray:
     mask = eigs_desc > thr[:, None]
     safe = np.where(mask, eigs_desc, 1.0)
     return np.sum(np.where(mask, safe ** alpha, 0.0), axis=1)
+
+
+def moment_upper_bounds(rows: np.ndarray, n: int, alphas, bipartite: bool = False) -> np.ndarray:
+    """Upper bounds on power_sums(q_eigs(rows, n), a) for each a > 0 of
+    alphas, shape (B, len(alphas)), from exact trace moments of Q = D + A:
+
+        S_0 <= n,  S_1 = 2m,  S_2 = M1 + 2m,  S_3 = sum d^3 + 3 M1 + 6t,
+        lambda_1 <= max over edges ij of d_i + d_j,
+
+    with t the triangle count.  p -> log S_p is convex, so between two of
+    these moments the bound is their geometric interpolation (exact at a = 1,
+    2, 3), and above 3 it is S_3 lambda_1^(a-3).  Triangles are counted only
+    when some a > 2.  bipartite=True declares every graph connected and
+    bipartite: then t = 0, and exactly one eigenvalue is zero, so S_0 = n-1."""
+    deg = np.bitwise_count(rows).astype(np.int64)
+    m1 = np.sum(deg * deg, axis=1)
+    moments = [np.full(len(rows), n - 1 if bipartite else n), deg.sum(axis=1), m1 + deg.sum(axis=1)]
+    top = max(alphas)
+    if top > 2:
+        s3 = np.sum(deg ** 3, axis=1) + 3 * m1
+        lam = np.zeros(len(rows), dtype=np.int64)
+        if not bipartite or top > 3:
+            vbits = np.arange(n, dtype=rows.dtype)
+            for i in range(n):
+                nbr = (rows[:, i:i + 1] >> vbits) & 1
+                if not bipartite:  # sum over ordered edges ij of |N(i) & N(j)| is 6t
+                    s3 += np.sum(nbr * np.bitwise_count(rows[:, i:i + 1] & rows), axis=1)
+                if top > 3:
+                    lam = np.maximum(lam, np.max(nbr * (deg[:, i:i + 1] + deg), axis=1))
+        moments.append(s3)
+    moments = [np.asarray(m, dtype=np.float64) for m in moments]
+    out = np.empty((len(rows), len(alphas)))
+    for c, a in enumerate(alphas):
+        if a > 3:
+            out[:, c] = moments[3] * lam.astype(np.float64) ** (a - 3)
+        else:
+            lo = int(np.ceil(a)) - 1  # a lies in (lo, lo + 1]
+            out[:, c] = moments[lo] ** (lo + 1 - a) * moments[lo + 1] ** (a - lo)
+    return out
 
 
 def kappa_batch(rows: np.ndarray, n: int) -> np.ndarray:
@@ -165,32 +208,42 @@ def bipartite_splits(n: int) -> list[int]:
     return [a for a in range(1, full, 2) if a != full]
 
 
-def split_cross_positions(n: int, amask: int) -> list[int]:
-    """Global pair-bit positions of the cross edges of a bipartition."""
-    pos = []
-    for p, (i, j) in enumerate(_pair_positions(n)):
-        if ((amask >> i) & 1) != ((amask >> j) & 1):
-            pos.append(p)
-    return pos
+class SplitChunk(NamedTuple):
+    """Edge codes and adjacency rows of one chunk of a split's graphs."""
+
+    codes: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """The number of graphs, as for a chunk of codes."""
+        return self.codes.size
 
 
 def split_connected_codes(n: int, amask: int):
-    """Yield code arrays of the connected bipartite graphs whose unique
-    bipartition is exactly {A, complement}; over all splits this enumerates
-    every labeled connected bipartite graph exactly once."""
+    """Yield (codes, rows) chunks of the connected bipartite graphs whose
+    unique bipartition is exactly {A, complement}; over all splits this
+    enumerates every labeled connected bipartite graph exactly once.  Codes
+    and rows are built from the cross edges alone, so no graph is decoded."""
     if n == 1:
-        yield np.zeros(1, dtype=np.int64)
+        yield SplitChunk(np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int32))
         return
-    cross = split_cross_positions(n, amask)
+    cross = [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
+             if ((amask >> i) ^ (amask >> j)) & 1]
     total = 1 << len(cross)
     for lo in range(0, total, CHUNK):
         local = np.arange(lo, min(lo + CHUNK, total), dtype=np.int64)
         codes = np.zeros(local.size, dtype=np.int64)
-        for lbit, p in enumerate(cross):
-            codes |= ((local >> lbit) & 1) << p
-        keep = connected_mask(decode_rows(codes, n), n)
+        rows = np.zeros((local.size, n), dtype=np.int32)
+        for lbit, (p, i, j) in enumerate(cross):
+            bit = (local >> lbit) & 1
+            codes |= bit << p
+            bit = bit.astype(np.int32)
+            rows[:, i] |= bit << j
+            rows[:, j] |= bit << i
+        keep = connected_mask(rows, n)
         if np.any(keep):
-            yield codes[keep]
+            yield SplitChunk(codes[keep], rows[keep])
 
 
 def clear_caches() -> None:

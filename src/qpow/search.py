@@ -10,7 +10,10 @@ A population arrives as batches from one of two sources, internal work units
 or a buffered graph6 stream, and one loop evaluates every batch with batched
 LAPACK.  The kappa <= k populations are nested, so that loop decides every k
 of a batch from one kappa <= k mask and its cost per batch grows with the
-alpha grid, not with alpha x k.  Re-verification computes the slow facts once
+alpha grid, not with alpha x k.  On a grid of upper bounds only, a screen of
+exact trace-moment bounds sends to LAPACK just the graphs that can still be a
+witness or a candidate, so an upper-bound scan solves a few graphs per batch
+and leaves the report unchanged.  Re-verification computes the slow facts once
 per distinct candidate graph and then checks each candidate record against
 its graph's facts in canonical order.
 """
@@ -209,8 +212,8 @@ class _Unit:
     def __iter__(self):
         n = self.n
         if self.family == "bipartite":
-            for codes in _bulk.split_connected_codes(n, self.amask):
-                yield n, codes, _bulk.decode_rows(codes, n), None, self.amask.bit_count()
+            for codes, rows in _bulk.split_connected_codes(n, self.amask):
+                yield n, codes, rows, None, self.amask.bit_count()
         else:
             for codes, kappas in _bulk.iter_connected_with_kappa(n, self.family == "kappa"):
                 yield n, codes, _bulk.decode_rows(codes, n), kappas, None
@@ -265,6 +268,34 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[tuple]
         yield flush(n)
 
 
+def _moment_screen(rows: np.ndarray, n: int, member: np.ndarray, alphas: list[float],
+                   bvals: np.ndarray, bipartite: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, eigs): the mask of the batch graphs that can be a witness or a
+    candidate of an upper-bound grid, and the spectra of the kept graphs.
+    bvals[a, j] is the bound of column (alphas[a], ks[j]).
+
+    One eigensolve of the member with the largest moment bound in each column
+    gives M, the best power sum found so far in that column.  A graph whose
+    moment bound is below M - tol_eq(M) in every column it belongs to has a
+    power sum below M, so it is neither the column's argmax nor tied with it;
+    where its bound is also below the column's bound b it cannot exceed
+    b + tol_eq(b), so it is no candidate either.  The probed graphs are kept,
+    and no graph is solved twice."""
+    ub = _bulk.moment_upper_bounds(rows, n, alphas, bipartite)
+    cols = np.where(member[:, None, :], ub[:, :, None], -np.inf)
+    probe = np.unique(cols.argmax(axis=0))
+    eigs = np.empty((len(rows), n))
+    eigs[probe] = _bulk.q_eigs(rows[probe], n)
+    vals = np.stack([_bulk.power_sums(eigs[probe], alpha) for alpha in alphas], axis=1)
+    best = np.where(member[probe][:, None, :], vals[:, :, None], -np.inf).max(axis=0)
+    floor = np.minimum(best - np.vectorize(tol_eq, otypes=[float])(best), bvals)
+    keep = np.any(cols >= floor, axis=(1, 2))
+    rest = keep.copy()
+    keep[probe], rest[probe] = True, False
+    eigs[rest] = _bulk.q_eigs(rows[rest], n)
+    return keep, eigs[keep]
+
+
 def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) -> _Accumulator:
     """The one evaluation loop: batched LAPACK spectra, power sums, margins,
     raw candidate violations and extremal witnesses.  Returns acc, so the
@@ -273,23 +304,36 @@ def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) 
     One mask member[i, j] = kappa_i <= ks[j] per batch decides every k (one
     all-true column without kappa).  Each alpha costs one bound row over the
     ks with members, one nonzero for the candidates and one masked
-    argmax/argmin for the witnesses, so ties keep the first graph."""
+    argmax/argmin for the witnesses, so ties keep the first graph.  When
+    every branch is an upper bound (so every alpha > 0), the moment screen
+    first drops the graphs that cannot change the result, and only the rest,
+    in batch order, reach the eigensolver; the count still covers the batch."""
+    screen = all(BOUNDS[branch].direction == "upper" for _, branch in branch_items)
+    alphas = [alpha for alpha, _ in branch_items]
+    bipartite = BOUNDS[branch_items[0][1]].family == "bipartite"
     for n, codes, rows, kappas, r in batches:
-        eigs = _bulk.q_eigs(rows, n)
         ks = [None] if kappas is None else list(range(1, n)) if k_fixed is None else [k_fixed]
         member = np.ones((len(codes), 1), bool) if kappas is None else kappas[:, None] <= ks
         live = member.any(axis=0)
         ks, member = [k for k, keep in zip(ks, live) if keep], member[:, live]
         acc.count += int(np.count_nonzero(member.any(axis=1)))
-        for alpha, branch in branch_items:
+        if not ks:
+            continue
+        bvals = np.array([[_scalar_bound(branch, alpha, n, k, r=r) for k in ks]
+                          for alpha, branch in branch_items])
+        if screen:
+            keep, eigs = _moment_screen(rows, n, member, alphas, bvals, bipartite)
+            codes, member = codes[keep], member[keep]
+        else:
+            eigs = _bulk.q_eigs(rows, n)
+        for (alpha, branch), brow in zip(branch_items, bvals):
             maximize = BOUNDS[branch].direction == "upper"
             vals = _bulk.power_sums(eigs, alpha)
-            bvals = np.array([_scalar_bound(branch, alpha, n, k, r=r) for k in ks])
-            tols = np.array([tol_eq(b) for b in bvals.tolist()])
-            margins = bvals - vals[:, None] if maximize else vals[:, None] - bvals
+            tols = np.array([tol_eq(b) for b in brow.tolist()])
+            margins = brow - vals[:, None] if maximize else vals[:, None] - brow
             for i, j in zip(*np.nonzero(member & (margins < -tols))):
                 acc.raw.append((n, int(codes[i]), ks[j], alpha, branch,
-                                float(vals[i]), float(bvals[j])))
+                                float(vals[i]), float(brow[j])))
             filled = np.where(member, vals[:, None], -np.inf if maximize else np.inf)
             best = filled.argmax(axis=0) if maximize else filled.argmin(axis=0)
             for k, i in zip(ks, best.tolist()):
@@ -452,7 +496,10 @@ def extremal_table(
     """Rank the population by the power sum: the head of this table is where
     extremal-graph claims are confirmed.  Upper bounds rank descending, lower
     bounds ascending; ties keep enumeration (or stream) order.  For the kappa
-    family the population is kappa <= k, with k = n-1 when not given."""
+    family the population is kappa <= k, with k = n-1 when not given.  A
+    top below 1 raises ValueError."""
+    if top < 1:
+        raise ValueError(f"need top >= 1, got top={top}")
     branch = resolve_bound_id(bound_id, alpha)
     if branch is None:
         raise ValueError(f"no branch of {bound_id!r} covers alpha={alpha:g}")

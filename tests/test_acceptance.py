@@ -90,9 +90,9 @@ def test_criterion_03_balanced_bipartite_bound_exhaustive():
         spec_tol = 1e-7 * max(1.0, float(target[0]))
         count = 0
         for amask in _bulk.bipartite_splits(n):
-            for codes in _bulk.split_connected_codes(n, amask):
+            for codes, rows in _bulk.split_connected_codes(n, amask):
                 count += codes.size
-                eigs = _bulk.q_eigs(_bulk.decode_rows(codes, n), n)
+                eigs = _bulk.q_eigs(rows, n)
                 cosp = np.max(np.abs(eigs - target), axis=1) <= spec_tol
                 for alpha in alphas:
                     vals = _bulk.power_sums(eigs, alpha)
@@ -249,8 +249,7 @@ def test_criterion_07_bipartite_cospectrality():
     total = 0
     for n in range(2, 9):
         for amask in _bulk.bipartite_splits(n):
-            for codes in _bulk.split_connected_codes(n, amask):
-                rows = _bulk.decode_rows(codes, n)
+            for codes, rows in _bulk.split_connected_codes(n, amask):
                 diff = np.max(np.abs(_bulk.q_eigs(rows, n) - l_eigs(rows, n)))
                 worst = max(worst, float(diff))
                 total += codes.size

@@ -1,0 +1,67 @@
+"""Batch kernels: split enumeration rows and the moment upper bounds."""
+
+import numpy as np
+import pytest
+
+from qpow import _bulk
+from qpow.graphs import Graph
+
+ALPHAS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+EXACT = [ALPHAS.index(a) for a in (1.0, 2.0, 3.0)]
+
+
+def assert_bounds_hold(rows, n, bipartite=False):
+    eigs = _bulk.q_eigs(rows, n)
+    sums = np.stack([_bulk.power_sums(eigs, a) for a in ALPHAS], axis=1)
+    bounds = _bulk.moment_upper_bounds(rows, n, ALPHAS, bipartite)
+    assert bounds.shape == sums.shape
+    # float eigenvalues carry ~1e-15 relative error; the bound is exact math
+    assert np.all(bounds >= sums * (1 - 1e-12)), n
+    np.testing.assert_allclose(bounds[:, EXACT], sums[:, EXACT], rtol=1e-9, atol=0)
+
+
+class TestMomentUpperBounds:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_connected_graph(self, n):
+        assert_bounds_hold(_bulk.decode_rows(_bulk.connected_codes(n), n), n)
+
+    def test_random_graphs_to_n12(self, rng):
+        for n in range(7, 13):
+            graphs = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+                      for p in (0.2, 0.4, 0.6, 0.8, 0.95) for _ in range(20)]
+            assert_bounds_hold(np.array([g.rows for g in graphs], dtype=np.int64), n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_connected_bipartite(self, n):
+        # no triangles and one zero eigenvalue: S_0 = n-1 tightens 0 < a < 1
+        below_one = [i for i, a in enumerate(ALPHAS) if a < 1]
+        for amask in _bulk.bipartite_splits(n):
+            for codes, rows in _bulk.split_connected_codes(n, amask):
+                assert_bounds_hold(rows, n, bipartite=True)
+                tight = _bulk.moment_upper_bounds(rows, n, ALPHAS, bipartite=True)
+                loose = _bulk.moment_upper_bounds(rows, n, ALPHAS)
+                assert np.all(tight[:, below_one] < loose[:, below_one])
+                np.testing.assert_array_equal(np.delete(tight, below_one, axis=1),
+                                              np.delete(loose, below_one, axis=1))
+
+    def test_star_moments(self):
+        # K_{1,3}: Q spectrum 4, 1, 1, 0; S_0 = 3, S_3 = 27 + 3 + 3 * 12 = 66
+        # and every edge has d_i + d_j = 4, so the bound above 3 is 66 * 4^(a-3)
+        rows = np.array([[0b1110, 1, 1, 1]], dtype=np.int32)
+        bounds = _bulk.moment_upper_bounds(rows, 4, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0], bipartite=True)
+        np.testing.assert_allclose(bounds[0], [3 ** 0.5 * 6 ** 0.5, 6, 18, 66, 264, 1056], rtol=1e-12)
+
+
+class TestSplitChunks:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_match_decode(self, n):
+        total = 0
+        for amask in _bulk.bipartite_splits(n):
+            for chunk in _bulk.split_connected_codes(n, amask):
+                codes, rows = chunk
+                assert chunk.size == codes.size == rows.shape[0]
+                assert rows.dtype == np.int32
+                np.testing.assert_array_equal(rows, _bulk.decode_rows(codes, n))
+                total += chunk.size
+        assert total == [1, 1, 3, 19, 195, 3031][n - 1]

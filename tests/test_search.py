@@ -20,6 +20,7 @@ from qpow.search import REVERIFY_CONV_SCALE, enumerate_graphs, extremal_table, s
 from qpow.spectra import q_spectrum
 from qpow.verify import matches_extremal, tol_eq
 
+import conftest
 from conftest import connected_graphs_naive, evaluate_reference
 
 
@@ -427,6 +428,11 @@ class TestExtremalTable:
         assert len(internal) == 12
         assert json.dumps(streamed) == json.dumps(internal)
 
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_rejected(self, top):
+        with pytest.raises(ValueError, match="top"):
+            extremal_table("thm41", 4, 0.5, top=top)
+
     @pytest.mark.parametrize("k", [0, 6])
     def test_k_outside_range_rejected(self, k):
         lines = population_lines("thm43", [6])
@@ -499,6 +505,95 @@ class TestEvaluateMatchesReference:
             ties += int(np.sum(vals[members] == best)) - 1
             assert new.witness[(n, k, "conj44-lower", -1.0)] == (best, n, int(codes[first]))
         assert ties > 0
+
+
+def screened_vs_reference(monkeypatch, batches, bound_id, alphas, k=None):
+    """Run the evaluator with a counting q_eigs, check it against the
+    unscreened reference, and return (graphs counted, matrices solved)."""
+    branch_items = tuple(sorted(search._resolve_grid(bound_id, alphas).items()))
+    batches = list(batches)
+    solved = []
+    original = _bulk.q_eigs
+
+    def counting(rows, n):
+        solved.append(len(rows))
+        return original(rows, n)
+
+    monkeypatch.setattr(_bulk, "q_eigs", counting)
+    new = search._evaluate(search._Accumulator(), batches, branch_items, k)
+    monkeypatch.setattr(_bulk, "q_eigs", original)
+    ref = evaluate_reference(search._Accumulator(), batches, branch_items, k)
+    assert_same(new, ref)
+    return new, sum(solved)
+
+
+class TestMomentScreen:
+    """On upper-only grids the moment screen solves few graphs and changes
+    nothing: count, witnesses and candidates equal the unscreened reference."""
+
+    @pytest.mark.parametrize("bound_id,alphas", [
+        ("conj31", [1.5, 2, 3]),
+        ("conj31", [1.25, 2.5, 4]),
+        ("thm31", [0.25, 0.5, 1.5, 2.5, 3.5]),
+    ])
+    def test_bipartite_splits_n6(self, monkeypatch, bound_id, alphas):
+        units = search._internal_units([6], "bipartite")
+        new, solved = screened_vs_reference(monkeypatch, chain.from_iterable(units),
+                                            bound_id, alphas)
+        assert new.count == 3031 and solved < new.count
+
+    @pytest.mark.parametrize("alphas", [[1, 2, 3], [0.5, 1.5, 2.5, 3.5]])
+    def test_candidates_near_the_bound_survive(self, monkeypatch, alphas):
+        # a bound 0.1% under the 90th percentile power sum of the connected
+        # graphs on 6 vertices: the graphs at that percentile exceed it by a
+        # hair, and the screen must pass them as candidates
+        eigs = _bulk.q_eigs(_bulk.decode_rows(_bulk.connected_codes(6), 6), 6)
+        cut = {a: float(np.quantile(_bulk.power_sums(eigs, a), 0.9)) * (1 - 1e-3) for a in alphas}
+
+        def bound(branch, alpha, n, k, r=None):
+            return cut[alpha]
+
+        monkeypatch.setattr(search, "_scalar_bound", bound)
+        monkeypatch.setattr(conftest, "_scalar_bound", bound)
+        new, solved = screened_vs_reference(monkeypatch, search._Unit(6, "connected"),
+                                            "thm41", alphas)
+        assert any(raw[5] < raw[6] * 1.01 for raw in new.raw) and solved < new.count
+
+    def test_thm41_n5(self, monkeypatch):
+        new, solved = screened_vs_reference(monkeypatch, search._Unit(5, "connected"),
+                                            "thm41", [0.25, 0.5, 1, 2.5, 3.5])
+        assert new.count == 728 and solved < new.count
+
+    @pytest.mark.parametrize("bound_id,alphas", [
+        ("thm43", [1, 1.5, 2.5, 4]),
+        ("conj44", [0.25, 0.5, 0.75]),
+    ])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_kappa_n6(self, monkeypatch, bound_id, alphas, k):
+        new, solved = screened_vs_reference(monkeypatch, search._Unit(6, "kappa"),
+                                            bound_id, alphas, k)
+        assert new.count == (26704 if k is None else 24936) and solved < new.count
+
+    @pytest.mark.parametrize("bound_id,alphas,k", [
+        ("conj44", [0.25, 0.75], None),
+        ("conj44", [0.5], 2),
+        ("thm43", [1, 2.5], 2),
+        ("thm41", [0.5, 3.5], None),
+        ("thm31", [0.5, 2], None),
+        ("conj31", [1.5, 3], None),
+    ])
+    def test_stream_with_repeats_and_isomorphs(self, monkeypatch, bound_id, alphas, k):
+        lines = [emit_graph6(g) for n in (4, 5) for g in enumerate_graphs(n, "connected")]
+        lines += lines[::7]
+        branch = search._resolve_grid(bound_id, alphas)[float(alphas[0])]
+        batches = search._stream_batches(read_stream(lines), {4, 5}, branch)
+        new, solved = screened_vs_reference(monkeypatch, batches, bound_id, alphas, k)
+        assert solved < new.count
+
+    def test_mixed_grid_solves_every_graph(self, monkeypatch):
+        new, solved = screened_vs_reference(monkeypatch, search._Unit(5, "kappa"),
+                                            "conj44", [-1, 0.5])
+        assert solved == new.count == 728
 
 
 class TestWitnessEncoding:
