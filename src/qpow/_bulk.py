@@ -1,14 +1,16 @@
 """Vectorized population kernels for exhaustive small-graph sweeps.
 
 Labeled graphs on n vertices are integer edge codes (upper-triangle bits in
-graph6 order).  Everything here works on numpy arrays of codes or of per-
-vertex adjacency bitmasks, in chunks of at most CHUNK graphs, which caps the
-memory of one batch.  The kernels are enumeration with connectivity and
-kappa filters, batched signless Laplacian spectra and power sums, and upper
-bounds on the power sums from exact integer trace moments, which let a scan
-skip the eigensolve of graphs that cannot reach its report.  Results feed the
-search module; single-graph questions go through the ordinary Graph API
-instead.
+graph6 order).  Every internal population arrives as one chunk type, Chunk,
+of at most CHUNK graphs, which caps the memory of one batch: the codes, their
+per-vertex adjacency bitmasks, and for the kappa family the sweep
+connectivities.  Each graph is decoded once, by the filter that enumerates it
+or from one cache, which holds the codes and kappas of the connected graphs
+for n <= 7.  The other kernels are batched signless Laplacian spectra and
+power sums, and upper bounds on the power sums from exact integer trace
+moments, which let a scan skip the eigensolve of graphs that cannot reach its
+report.  Results feed the search module; single-graph questions go through
+the ordinary Graph API instead.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .spectra import ZERO_THRESHOLD_SCALE
 
 CHUNK = 1 << 18
 
-_kappa_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_connected_cache: dict[int, np.ndarray] = {}
+_connected_cache: dict[int, Chunk] = {}  # n -> codes and kappas, rows None
 
 
 def decode_rows(codes: np.ndarray, n: int) -> np.ndarray:
@@ -140,64 +141,59 @@ def kappa_batch(rows: np.ndarray, n: int) -> np.ndarray:
     return kappa
 
 
+class Chunk(NamedTuple):
+    """One batch of a population: edge codes, per-vertex adjacency rows of
+    shape (B, n), and sweep connectivities for the kappa family (else None)."""
+
+    codes: np.ndarray
+    rows: np.ndarray
+    kappas: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        """The number of graphs."""
+        return self.codes.size
+
+
 def iter_connected_code_chunks(n: int):
-    """Lazily yield chunks of the codes of labeled connected graphs on n
-    vertices, in ascending code order."""
-    cached = _connected_cache.get(n)
-    if cached is not None:
-        for lo in range(0, cached.size, CHUNK):
-            yield cached[lo:lo + CHUNK]
-        return
+    """Lazily yield Chunks of the labeled connected graphs on n vertices, in
+    ascending code order; the rows are those the connectivity filter decoded."""
     total = 1 << (n * (n - 1) // 2)
     for lo in range(0, total, CHUNK):
         codes = np.arange(lo, min(lo + CHUNK, total), dtype=np.int64)
-        keep = codes[connected_mask(decode_rows(codes, n), n)]
-        if keep.size:
-            yield keep
+        rows = decode_rows(codes, n)
+        keep = connected_mask(rows, n)
+        if np.any(keep):
+            yield Chunk(codes[keep], rows[keep])
 
 
-def connected_codes(n: int) -> np.ndarray:
-    """Codes of every labeled connected graph on n vertices (cached, n <= 7)."""
+def connected_chunks(n: int, need_kappa: bool):
+    """Lazily yield Chunks of the labeled connected graphs on n vertices, in
+    ascending code order, with kappas only when need_kappa.
+
+    A kappa traversal with n <= 7 that runs to the end caches the codes and
+    kappas of the whole population (n = 8 is too large to hold).  Later
+    traversals of either kind slice the cached codes and decode each slice
+    once, so neither enumeration nor the kappa sweep runs again."""
     cached = _connected_cache.get(n)
     if cached is not None:
-        return cached
-    parts = list(iter_connected_code_chunks(n))
-    out = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    if n <= 7:
-        _connected_cache[n] = out
-    return out
-
-
-def connected_with_kappa(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, kappa) for every labeled connected graph on n vertices."""
-    cached = _kappa_cache.get(n)
-    if cached is not None:
-        return cached
-    codes = connected_codes(n)
-    kappas = np.empty(codes.size, dtype=np.int8)
-    for lo in range(0, codes.size, CHUNK):
-        chunk = codes[lo:lo + CHUNK]
-        kappas[lo:lo + chunk.size] = kappa_batch(decode_rows(chunk, n), n)
-    if n <= 7:
-        _kappa_cache[n] = (codes, kappas)
-    return codes, kappas
-
-
-def iter_connected_with_kappa(n: int, need_kappa: bool = True):
-    """Lazily yield (codes, kappas) chunks over the connected population;
-    kappas is None when not requested.  Cached whole-population arrays are
-    reused for n <= 7."""
+        for lo in range(0, cached.size, CHUNK):
+            codes = cached.codes[lo:lo + CHUNK]
+            yield Chunk(codes, decode_rows(codes, n),
+                        cached.kappas[lo:lo + CHUNK] if need_kappa else None)
+        return
     if not need_kappa:
-        for chunk in iter_connected_code_chunks(n):
-            yield chunk, None
+        yield from iter_connected_code_chunks(n)
         return
-    if n <= 7:
-        codes, kappas = connected_with_kappa(n)
-        for lo in range(0, codes.size, CHUNK):
-            yield codes[lo:lo + CHUNK], kappas[lo:lo + CHUNK]
-        return
+    codes, kappas = [], []
     for chunk in iter_connected_code_chunks(n):
-        yield chunk, kappa_batch(decode_rows(chunk, n), n)
+        chunk = chunk._replace(kappas=kappa_batch(chunk.rows, n))
+        if n <= 7:
+            codes.append(chunk.codes)
+            kappas.append(chunk.kappas)
+        yield chunk
+    if codes:
+        _connected_cache[n] = Chunk(np.concatenate(codes), None, np.concatenate(kappas))
 
 
 def bipartite_splits(n: int) -> list[int]:
@@ -208,25 +204,13 @@ def bipartite_splits(n: int) -> list[int]:
     return [a for a in range(1, full, 2) if a != full]
 
 
-class SplitChunk(NamedTuple):
-    """Edge codes and adjacency rows of one chunk of a split's graphs."""
-
-    codes: np.ndarray
-    rows: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """The number of graphs, as for a chunk of codes."""
-        return self.codes.size
-
-
 def split_connected_codes(n: int, amask: int):
-    """Yield (codes, rows) chunks of the connected bipartite graphs whose
-    unique bipartition is exactly {A, complement}; over all splits this
-    enumerates every labeled connected bipartite graph exactly once.  Codes
-    and rows are built from the cross edges alone, so no graph is decoded."""
+    """Yield Chunks of the connected bipartite graphs whose unique
+    bipartition is exactly {A, complement}; over all splits this enumerates
+    every labeled connected bipartite graph exactly once.  Codes and rows are
+    built from the cross edges alone, so no graph is decoded."""
     if n == 1:
-        yield SplitChunk(np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int32))
+        yield Chunk(np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int32))
         return
     cross = [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
              if ((amask >> i) ^ (amask >> j)) & 1]
@@ -243,9 +227,8 @@ def split_connected_codes(n: int, amask: int):
             rows[:, j] |= bit << i
         keep = connected_mask(rows, n)
         if np.any(keep):
-            yield SplitChunk(codes[keep], rows[keep])
+            yield Chunk(codes[keep], rows[keep])
 
 
 def clear_caches() -> None:
-    _kappa_cache.clear()
     _connected_cache.clear()

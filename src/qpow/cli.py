@@ -143,11 +143,12 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _check_result_lines(result, fmt: str) -> str:
+def _check_result_lines(doc: dict, fmt: str) -> str:
+    """One check result as a JSON object or as key = value lines."""
+    doc = {key: _round12(v) for key, v in doc.items()}
     if fmt == "json":
-        doc = {key: _round12(v) for key, v in asdict(result).items()}
         return json.dumps(doc)
-    return "\n".join(f"{key} = {_round12(v)}" for key, v in asdict(result).items())
+    return "\n".join(f"{key} = {v}" for key, v in doc.items())
 
 
 def _cmd_check(args) -> int:
@@ -164,51 +165,45 @@ def _cmd_check(args) -> int:
                 print(f"error: no branch of {cid} covers alpha={args.alpha:g}", file=sys.stderr)
                 return EXIT_USAGE
         result = check_bound(g, bid, args.alpha, k=args.k)
-        print(_check_result_lines(result, args.format))
+        print(_check_result_lines(asdict(result), args.format))
         if not result.applicable:
             return EXIT_USAGE
         return EXIT_OK if result.slack >= -tol_eq(result.bound_value) else EXIT_VIOLATED
     if cid == "interlacing":
         results = [check_interlacing(g, e) for e in g.edges()]
-        passed = all(r.passed for r in results)
         doc = {
             "check": "interlacing",
             "edges": g.m,
-            "passed": passed,
-            "max_violation": _round12(max((r.max_violation for r in results), default=0.0)),
-            "max_trace_gap_error": _round12(max((abs(r.trace_gap - 2.0) for r in results), default=0.0)),
+            "passed": all(r.passed for r in results),
+            "max_violation": max((r.max_violation for r in results), default=0.0),
+            "max_trace_gap_error": max((abs(r.trace_gap - 2.0) for r in results), default=0.0),
         }
-        print(json.dumps(doc) if args.format == "json" else doc)
-        return EXIT_OK if passed else EXIT_VIOLATED
-    if cid == "monotonicity":
+    elif cid == "monotonicity":
         if args.alpha is None:
             print("error: --alpha is required for monotonicity", file=sys.stderr)
             return EXIT_USAGE
         result = check_edge_monotonicity(g, args.alpha)
         doc = {
             "check": "monotonicity",
-            "alpha": _round12(args.alpha),
+            "alpha": args.alpha,
             "passed": result.passed,
             "asserted_edges": sum(1 for r in result.records if r.asserted),
             "recorded_edges": sum(1 for r in result.records if not r.asserted),
         }
-        print(json.dumps(doc) if args.format == "json" else doc)
-        return EXIT_OK if result.passed else EXIT_VIOLATED
-    if cid == "cospectral":
+    elif cid == "cospectral":
         result = check_bipartite_cospectral(g)
         doc = {"check": "cospectral", "applicable": result.applicable,
-               "passed": result.passed, "max_diff": _round12(result.max_diff)}
-        print(json.dumps(doc) if args.format == "json" else doc)
-        if not result.applicable:
-            return EXIT_USAGE
-        return EXIT_OK if result.passed else EXIT_VIOLATED
-    if cid == "identities":
+               "passed": result.passed, "max_diff": result.max_diff}
+    elif cid == "identities":
         result = check_identities(g)
         doc = {"check": "identities", "passed": result.passed, "failures": result.failures}
-        print(json.dumps(doc) if args.format == "json" else doc)
-        return EXIT_OK if result.passed else EXIT_VIOLATED
-    print(f"error: unknown check id {cid!r}", file=sys.stderr)
-    return EXIT_USAGE
+    else:
+        print(f"error: unknown check id {cid!r}", file=sys.stderr)
+        return EXIT_USAGE
+    print(_check_result_lines(doc, args.format))
+    if not doc.get("applicable", True):
+        return EXIT_USAGE
+    return EXIT_OK if doc["passed"] else EXIT_VIOLATED
 
 
 def _cmd_scan(args) -> int:
@@ -226,7 +221,9 @@ def _cmd_scan(args) -> int:
         source = sys.stdin
     elif args.input:
         try:
-            close_me = open(args.input, "r", encoding="ascii")
+            # a byte outside ASCII becomes U+FFFD, so its line fails to parse
+            # like any other malformed line instead of aborting the stream
+            close_me = open(args.input, "r", encoding="ascii", errors="replace")
         except OSError as exc:
             print(f"error: cannot read --input {args.input!r}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, _reach
 
 
 @dataclass(frozen=True)
@@ -23,21 +23,6 @@ class ConnectivityProfile:
     epsilon: int
     vertex_cut: tuple[int, ...]
     edge_cut: tuple[tuple[int, int], ...]
-
-
-def _reach(rows, start_mask: int, keep: int) -> int:
-    """Vertices reachable from start_mask inside the induced subgraph on keep."""
-    reach = start_mask & keep
-    while True:
-        frontier = reach
-        nxt = reach
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nxt |= rows[v] & keep
-        if nxt == reach:
-            return reach
-        reach = nxt
 
 
 def _st_vertex_flow(rows, n: int, s: int, t: int, limit: int):

@@ -22,6 +22,21 @@ def _pair_positions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def _reach(rows, start_mask: int, keep: int) -> int:
+    """Vertices reachable from start_mask inside the induced subgraph on keep."""
+    reach = start_mask & keep
+    while True:
+        frontier = reach
+        nxt = reach
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            nxt |= rows[v] & keep
+        if nxt == reach:
+            return reach
+        reach = nxt
+
+
 class Graph:
     """Simple undirected graph, value-immutable after construction.
 
@@ -97,18 +112,8 @@ class Graph:
         return Graph(self.n, [x for x in self.edges() if x != (min(u, v), max(u, v))])
 
     def is_connected(self) -> bool:
-        reach = 1
-        while True:
-            frontier = reach
-            nxt = reach
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= self.rows[v]
-            if nxt == reach:
-                break
-            reach = nxt
-        return reach == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return _reach(self.rows, 1, full) == full
 
     def is_bipartite(self) -> bool:
         """True when no component contains an odd cycle."""

@@ -153,6 +153,16 @@ def _check_k(bound_id: str, family: str, k: Optional[int], n: Optional[int] = No
         raise ValueError(f"need 1 <= k <= n-1, got k={k}" + (f" for n={n}" if n else ""))
 
 
+def _live_ns(ns, k: Optional[int]) -> set[int]:
+    """The ns where the bounds are defined: n >= 2, and k <= n-1 for a fixed
+    k.  Raises ValueError when there is none."""
+    live = {n for n in ns if n >= 2 and (k is None or k <= n - 1)}
+    if not live:
+        need = "n >= 2" if k is None else f"n >= 2 and k={k} <= n-1"
+        raise ValueError(f"no requested n is applicable: the bounds need {need}")
+    return live
+
+
 def _resolve_grid(bound_id: str, alpha_grid) -> dict[float, str]:
     """Map each grid alpha to the applicable branch id (family aliases fan out)."""
     branch_map: dict[float, str] = {}
@@ -210,13 +220,13 @@ class _Unit:
     amask: int = 0
 
     def __iter__(self):
-        n = self.n
+        n, r = self.n, None
         if self.family == "bipartite":
-            for codes, rows in _bulk.split_connected_codes(n, self.amask):
-                yield n, codes, rows, None, self.amask.bit_count()
+            chunks, r = _bulk.split_connected_codes(n, self.amask), self.amask.bit_count()
         else:
-            for codes, kappas in _bulk.iter_connected_with_kappa(n, self.family == "kappa"):
-                yield n, codes, _bulk.decode_rows(codes, n), kappas, None
+            chunks = _bulk.connected_chunks(n, self.family == "kappa")
+        for codes, rows, kappas in chunks:
+            yield n, codes, rows, kappas, r
 
 
 def _internal_units(ns, family: str) -> list[_Unit]:
@@ -439,11 +449,7 @@ def scan(
     family = BOUNDS[next(iter(branch_map.values()))].family
     _check_k(bound_id, family, k)
     branch_items = tuple(sorted(branch_map.items()))
-    # the bounds are defined for n >= 2, and for a fixed k only where k <= n-1
-    live = {n for n in ns if n >= 2 and (k is None or k <= n - 1)}
-    if not live:
-        need = "n >= 2" if k is None else f"n >= 2 and k={k} <= n-1"
-        raise ValueError(f"no requested n is applicable: the bounds need {need}")
+    live = _live_ns(ns, k)
     acc = _Accumulator()
     if source is None:
         units = _internal_units(sorted(live), family)
@@ -497,7 +503,7 @@ def extremal_table(
     extremal-graph claims are confirmed.  Upper bounds rank descending, lower
     bounds ascending; ties keep enumeration (or stream) order.  For the kappa
     family the population is kappa <= k, with k = n-1 when not given.  A
-    top below 1 raises ValueError."""
+    top below 1 or an n below 2 raises ValueError."""
     if top < 1:
         raise ValueError(f"need top >= 1, got top={top}")
     branch = resolve_bound_id(bound_id, alpha)
@@ -505,6 +511,7 @@ def extremal_table(
         raise ValueError(f"no branch of {bound_id!r} covers alpha={alpha:g}")
     spec = BOUNDS[branch]
     _check_k(bound_id, spec.family, k, n)
+    _live_ns([n], k)
     if source is None:
         batches = chain.from_iterable(_internal_units([n], spec.family))
     else:

@@ -209,6 +209,18 @@ def vertex_connectivity_bruteforce(g: Graph) -> int:
     return min_vertex_cut_bruteforce(g)[0]
 
 
+def connected_population(n: int, need_kappa: bool = False):
+    """(codes, kappas) of every labeled connected graph on n vertices, joined
+    from the chunks of _bulk.connected_chunks; kappas is None unless asked
+    for.  The generator runs to the end, so a kappa traversal with n <= 7
+    fills the library cache that later scans of that n read."""
+    codes, kappas = [], []
+    for chunk in _bulk.connected_chunks(n, need_kappa):
+        codes.append(chunk.codes)
+        kappas.append(chunk.kappas)
+    return np.concatenate(codes), np.concatenate(kappas) if need_kappa else None
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices, by naive code loop."""
     return [from_code(n, code) for code in range(1 << (n * (n - 1) // 2))]

@@ -30,7 +30,8 @@ from qpow.spectra import q_spectrum
 from qpow.verify import tol_eq
 
 from conftest import (
-    degrees, edge_counts, l_eigs, nonzero_counts, power_sum_oracle, q_eigs_oracle,
+    connected_population, degrees, edge_counts, l_eigs, nonzero_counts, power_sum_oracle,
+    q_eigs_oracle,
 )
 
 # independently published labeled census counts, cross-checked against the
@@ -90,7 +91,7 @@ def test_criterion_03_balanced_bipartite_bound_exhaustive():
         spec_tol = 1e-7 * max(1.0, float(target[0]))
         count = 0
         for amask in _bulk.bipartite_splits(n):
-            for codes, rows in _bulk.split_connected_codes(n, amask):
+            for codes, rows, _ in _bulk.split_connected_codes(n, amask):
                 count += codes.size
                 eigs = _bulk.q_eigs(rows, n)
                 cosp = np.max(np.abs(eigs - target), axis=1) <= spec_tol
@@ -115,7 +116,7 @@ def test_criterion_04_connectivity_bound_exhaustive():
     alphas = (1.0, 1.5, 2.0, 3.0)
     total = 0
     for n in range(2, 8):
-        codes, kappas = _bulk.connected_with_kappa(n)
+        codes, kappas = connected_population(n, need_kappa=True)
         assert codes.size == CONNECTED_COUNTS[n]
         total += codes.size
         targets = {k: gi_spectrum(n, k, 1).values for k in range(1, n)}
@@ -249,7 +250,7 @@ def test_criterion_07_bipartite_cospectrality():
     total = 0
     for n in range(2, 9):
         for amask in _bulk.bipartite_splits(n):
-            for codes, rows in _bulk.split_connected_codes(n, amask):
+            for codes, rows, _ in _bulk.split_connected_codes(n, amask):
                 diff = np.max(np.abs(_bulk.q_eigs(rows, n) - l_eigs(rows, n)))
                 worst = max(worst, float(diff))
                 total += codes.size
@@ -264,7 +265,7 @@ def test_criterion_08_trace_identities_and_interval_relations():
     grid = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     total = 0
     for n in range(2, 8):
-        codes = _bulk.connected_codes(n)
+        codes, _ = connected_population(n)
         total += codes.size
         for lo in range(0, codes.size, _bulk.CHUNK):
             chunk = codes[lo:lo + _bulk.CHUNK]
@@ -340,7 +341,7 @@ def test_criterion_10_oracles():
     # flow-based kappa == brute-force minimum vertex cut, all connected n<=7
     checked = 0
     for n in range(2, 8):
-        codes, kappas = _bulk.connected_with_kappa(n)
+        codes, kappas = connected_population(n, need_kappa=True)
         rows_all = _bulk.decode_rows(codes, n)
         for i in range(codes.size):
             rows = tuple(int(x) for x in rows_all[i])

@@ -185,6 +185,22 @@ class TestCheck:
                            "--alpha", "2", "--format", "table")
         assert code == 0 and "equality = True" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--id", "interlacing"],
+        ["--id", "monotonicity", "--alpha", "0.5"],
+        ["--id", "cospectral"],
+        ["--id", "identities"],
+        ["--id", "thm41-upper", "--alpha", "2"],
+    ], ids=["interlacing", "monotonicity", "cospectral", "identities", "bound"])
+    def test_table_format_every_check(self, capsys, argv):
+        # one key = value line per key of the JSON form, with its exit code
+        code, out, _ = run(capsys, "check", *argv, "--graph6", "C^")
+        doc = json.loads(out)
+        table_code, table, _ = run(capsys, "check", *argv, "--graph6", "C^", "--format", "table")
+        assert table_code == code
+        lines = table.splitlines()
+        assert [line.split(" = ", 1)[0] for line in lines] == list(doc)
+
 
 class TestScan:
     def test_clean_scan_exit_0(self, capsys):
@@ -230,6 +246,18 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4",
                              "--alpha-grid", "1", "--input", str(path))
         assert code == 0 and "line 2" in err
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_non_ascii_line_is_malformed(self, tmp_path, capsys, strict):
+        path = tmp_path / "bytes.g6"
+        path.write_bytes(b"Bw\n\xff\xfe\nBo\n")
+        code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "3", "--alpha-grid", "1",
+                             "--input", str(path), *(["--strict"] if strict else []))
+        if strict:
+            assert code == 2 and out == "" and err.startswith("error: line 2:")
+        else:
+            assert code == 0 and err.startswith("warning: line 2:")
+            assert json.loads(out)["graphs_scanned"] == 2
 
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "scan", "--id", "thm32", "--max-n", "4",

@@ -21,7 +21,7 @@ from qpow.spectra import q_spectrum
 from qpow.verify import matches_extremal, tol_eq
 
 import conftest
-from conftest import connected_graphs_naive, evaluate_reference
+from conftest import connected_graphs_naive, connected_population, evaluate_reference
 
 
 class TestEnumerate:
@@ -428,6 +428,13 @@ class TestExtremalTable:
         assert len(internal) == 12
         assert json.dumps(streamed) == json.dumps(internal)
 
+    @pytest.mark.parametrize("source", [None, ["@"]], ids=["internal", "stream"])
+    @pytest.mark.parametrize("bound_id,alpha", [("thm41", -1.0), ("thm41", 2.0), ("thm32", 0.5)])
+    def test_n_below_two_rejected(self, source, bound_id, alpha):
+        # S_alpha of K_1 is undefined and the bounds need n >= 2, as in scan
+        with pytest.raises(ValueError, match="the bounds need n >= 2"):
+            extremal_table(bound_id, 1, alpha, source=source and iter(source))
+
     @pytest.mark.parametrize("top", [0, -1])
     def test_top_below_one_rejected(self, top):
         with pytest.raises(ValueError, match="top"):
@@ -547,7 +554,7 @@ class TestMomentScreen:
         # a bound 0.1% under the 90th percentile power sum of the connected
         # graphs on 6 vertices: the graphs at that percentile exceed it by a
         # hair, and the screen must pass them as candidates
-        eigs = _bulk.q_eigs(_bulk.decode_rows(_bulk.connected_codes(6), 6), 6)
+        eigs = _bulk.q_eigs(_bulk.decode_rows(connected_population(6)[0], 6), 6)
         cut = {a: float(np.quantile(_bulk.power_sums(eigs, a), 0.9)) * (1 - 1e-3) for a in alphas}
 
         def bound(branch, alpha, n, k, r=None):
@@ -640,7 +647,43 @@ def run_traced(body: str) -> list[int]:
     return list(map(int, done.stdout.split()))
 
 
+class TestConnectedCache:
+    def test_warm_cache_gives_cold_bytes(self, monkeypatch):
+        # a private cache, so the session's cached n = 7 population survives;
+        # a thm41 scan served from the kappa cache must see kappas=None, or
+        # the evaluator would scan it as a kappa family
+        monkeypatch.setattr(_bulk, "_connected_cache", {})
+        runs = [("thm41", [-1, 0.5, 2]), ("conj44", [-1, 0.5])]
+        cold = []
+        for bound_id, grid in runs:
+            _bulk.clear_caches()
+            cold.append(scan(bound_id, [5], grid, threads=1).to_json(redact_timing=True))
+        _bulk.clear_caches()
+        for _ in _bulk.connected_chunks(5, True):
+            pass
+        assert _bulk._connected_cache[5].size == 728
+        warm = [scan(bound_id, [5], grid, threads=1).to_json(redact_timing=True)
+                for bound_id, grid in runs]
+        assert warm == cold
+        chunks = list(_bulk.connected_chunks(5, False))
+        assert all(chunk.kappas is None for chunk in chunks)
+        assert sum(chunk.size for chunk in chunks) == 728
+        for chunk in _bulk.connected_chunks(5, True):
+            np.testing.assert_array_equal(chunk.rows, _bulk.decode_rows(chunk.codes, 5))
+            np.testing.assert_array_equal(chunk.kappas, _bulk.kappa_batch(chunk.rows, 5))
+
+
 class TestBenchHooks:
+    def test_traced_kappa_scan_decodes_once(self):
+        # one decode per n, by the connectivity filter; the kappa sweep and
+        # the evaluator reuse its rows
+        decodes, codes, kappas = run_traced(
+            "search.scan('conj44', range(2, 5), [-1, 0.5], threads=1)\n"
+            "print(t.calls['bulk.decode_rows'], t.counts['bulk.enum.codes'],"
+            " t.counts['bulk.kappa_batch.graphs'])\n"
+        )
+        assert (decodes, codes, kappas) == (3, 2 + 8 + 64, 1 + 4 + 38)
+
     def test_traced_scan_counts_scalar_bound(self):
         scalar, connectivity, scans = run_traced(
             "search.scan('conj44', range(2, 5), [-1, 0.5], threads=1)\n"

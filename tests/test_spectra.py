@@ -19,6 +19,7 @@ from qpow.spectra import (
 from conftest import (
     bipartite_mask,
     connected_graphs_naive,
+    connected_population,
     eigvalsh_oracle,
     jacobi_reference,
     q_eigs_oracle,
@@ -175,7 +176,7 @@ class TestZeroClassification:
         # all 1.87M connected graphs on 7 vertices, via the batch kernels
         from qpow import _bulk
 
-        codes = _bulk.connected_codes(7)
+        codes, _ = connected_population(7)
         for lo in range(0, codes.size, _bulk.CHUNK):
             rows = _bulk.decode_rows(codes[lo:lo + _bulk.CHUNK], 7)
             eigs = _bulk.q_eigs(rows, 7)
