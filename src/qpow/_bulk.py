@@ -6,11 +6,13 @@ of at most CHUNK graphs, which caps the memory of one batch: the codes, their
 per-vertex adjacency bitmasks, and for the kappa family the sweep
 connectivities.  Each graph is decoded once, by the filter that enumerates it
 or from one cache, which holds the codes and kappas of the connected graphs
-for n <= 7.  The other kernels are batched signless Laplacian spectra and
-power sums, and upper bounds on the power sums from exact integer trace
-moments, which let a scan skip the eigensolve of graphs that cannot reach its
-report.  Results feed the search module; single-graph questions go through
-the ordinary Graph API instead.
+for n <= 7.  Rows are built column by column, and connectivity, of a graph or
+of the subgraph induced on a vertex set (the kappa sweep), is an in-place
+frontier sweep over a batch's columns.  The other kernels are batched
+signless Laplacian spectra and power sums, and upper bounds on the power sums
+from exact integer trace moments, which let a scan skip the eigensolve of
+graphs that cannot reach its report.  Results feed the search module;
+single-graph questions go through the ordinary Graph API instead.
 """
 
 from __future__ import annotations
@@ -28,31 +30,46 @@ CHUNK = 1 << 18
 _connected_cache: dict[int, Chunk] = {}  # n -> codes and kappas, rows None
 
 
+def _rows(bits: np.ndarray, n: int, edges) -> np.ndarray:
+    """Per-vertex adjacency bitmasks, shape (B, n), int32, of the graphs in
+    which edge ij is present when bit s of bits is set, for each (s, i, j) of
+    edges.  They are built as the columns of one (n, B) block and returned as
+    its transpose, so every update writes contiguous memory."""
+    cols = np.zeros((n, bits.size), dtype=np.int32)
+    for s, i, j in edges:
+        bit = ((bits >> s) & 1).astype(np.int32)
+        cols[i] |= bit << j
+        cols[j] |= bit << i
+    return cols.T
+
+
 def decode_rows(codes: np.ndarray, n: int) -> np.ndarray:
     """Per-vertex adjacency bitmasks, shape (B, n), from edge codes."""
-    codes = np.asarray(codes, dtype=np.int64)
-    rows = np.zeros((codes.size, n), dtype=np.int32)
-    for p, (i, j) in enumerate(_pair_positions(n)):
-        bit = ((codes >> p) & 1).astype(np.int32)
-        rows[:, i] |= bit << j
-        rows[:, j] |= bit << i
-    return rows
+    return _rows(np.asarray(codes, dtype=np.int64), n,
+                 [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))])
 
 
 def connected_mask(rows: np.ndarray, n: int, keep: int | None = None) -> np.ndarray:
-    """Connectivity of the subgraph induced on the vertex set `keep` (bitmask)."""
+    """Connectivity of the subgraph induced on the vertex set `keep` (bitmask).
+
+    A frontier sweep from the lowest kept vertex: each pass visits the kept
+    vertices in order and ORs the kept neighbours of every vertex already
+    reached into its graph's reach, in place, so one pass can follow a path
+    of several edges.  Passes repeat until no reach changes; reach only gains
+    bits, so an unchanged sum means an unchanged reach."""
     if keep is None:
         keep = (1 << n) - 1
-    vbits = np.arange(n, dtype=np.int32)
-    masked = rows & keep
-    start = keep & -keep
-    reach = np.full(rows.shape[0], start, dtype=np.int32)
-    for _ in range(keep.bit_count() - 1):
-        sel = ((reach[:, None] >> vbits) & 1).astype(np.int32)
-        nxt = reach | np.bitwise_or.reduce(masked * sel, axis=1)
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
+    cols = [(v, rows[:, v] & keep) for v in range(n) if keep >> v & 1]
+    reach = np.full(len(rows), keep & -keep, dtype=rows.dtype)
+    hit = np.empty_like(reach)
+    seen = -1
+    while (total := int(reach.sum())) != seen:
+        seen = total
+        for v, col in cols:
+            np.right_shift(reach, v, out=hit)
+            hit &= 1
+            hit *= col
+            reach |= hit
     return reach == keep
 
 
@@ -207,8 +224,9 @@ def bipartite_splits(n: int) -> list[int]:
 def split_connected_codes(n: int, amask: int):
     """Yield Chunks of the connected bipartite graphs whose unique
     bipartition is exactly {A, complement}; over all splits this enumerates
-    every labeled connected bipartite graph exactly once.  Codes and rows are
-    built from the cross edges alone, so no graph is decoded."""
+    every labeled connected bipartite graph exactly once.  Rows are built from
+    each graph's index among the subsets of the cross edges, and codes only
+    for the connected ones, so no graph is decoded."""
     if n == 1:
         yield Chunk(np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int32))
         return
@@ -217,17 +235,14 @@ def split_connected_codes(n: int, amask: int):
     total = 1 << len(cross)
     for lo in range(0, total, CHUNK):
         local = np.arange(lo, min(lo + CHUNK, total), dtype=np.int64)
-        codes = np.zeros(local.size, dtype=np.int64)
-        rows = np.zeros((local.size, n), dtype=np.int32)
-        for lbit, (p, i, j) in enumerate(cross):
-            bit = (local >> lbit) & 1
-            codes |= bit << p
-            bit = bit.astype(np.int32)
-            rows[:, i] |= bit << j
-            rows[:, j] |= bit << i
+        rows = _rows(local, n, [(lbit, i, j) for lbit, (_, i, j) in enumerate(cross)])
         keep = connected_mask(rows, n)
         if np.any(keep):
-            yield Chunk(codes[keep], rows[keep])
+            local = local[keep]
+            codes = np.zeros(local.size, dtype=np.int64)
+            for lbit, (p, _, _) in enumerate(cross):
+                codes |= ((local >> lbit) & 1) << p
+            yield Chunk(codes, rows[keep])
 
 
 def clear_caches() -> None:

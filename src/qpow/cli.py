@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -144,8 +145,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _check_result_lines(doc: dict, fmt: str) -> str:
-    """One check result as a JSON object or as key = value lines."""
-    doc = {key: _round12(v) for key, v in doc.items()}
+    """One check result as a JSON object or as key = value lines.  A
+    non-finite float is a value that does not apply, and prints as null
+    (None), since JSON has no NaN or Infinity."""
+    doc = {key: None if isinstance(v, float) and not math.isfinite(v) else _round12(v)
+           for key, v in doc.items()}
     if fmt == "json":
         return json.dumps(doc)
     return "\n".join(f"{key} = {v}" for key, v in doc.items())

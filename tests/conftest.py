@@ -7,11 +7,14 @@ vectorized kernels), and odd cycles come from adjacency-matrix powers.  The
 Jacobi solver's earlier numpy-slice loop is kept as the bit-for-bit reference
 for its Python-float loop, and the scan evaluator's earlier per-(alpha, k)
 loop as the reference for its k-mask loop.  Vertex connectivity comes from an
-exhaustive sweep over vertex subsets (the library runs max-flow).
+exhaustive sweep over vertex subsets (the library runs max-flow), and the
+connectivity of induced subgraphs from breadth-first search (the library runs
+a batched bitmask sweep).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -207,6 +210,22 @@ def min_vertex_cut_bruteforce(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 def vertex_connectivity_bruteforce(g: Graph) -> int:
     return min_vertex_cut_bruteforce(g)[0]
+
+
+def induced_connected_bfs(rows, keep: int) -> bool:
+    """Whether the subgraph induced on the nonempty vertex set keep (a
+    bitmask) is connected, by breadth-first search over the per-vertex
+    adjacency bitmasks rows of one graph."""
+    verts = [v for v in range(len(rows)) if keep >> v & 1]
+    seen = {verts[0]}
+    queue = deque(seen)
+    while queue:
+        u = queue.popleft()
+        for w in verts:
+            if w not in seen and rows[u] >> w & 1:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(verts)
 
 
 def connected_population(n: int, need_kappa: bool = False):

@@ -1,12 +1,13 @@
-"""Batch kernels: split enumeration rows and the moment upper bounds."""
+"""Batch kernels: decoding, connectivity, split enumeration rows and the
+moment upper bounds."""
 
 import numpy as np
 import pytest
 
 from qpow import _bulk
-from qpow.graphs import Graph
+from qpow.graphs import Graph, from_code
 
-from conftest import connected_population
+from conftest import connected_population, induced_connected_bfs
 
 ALPHAS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 EXACT = [ALPHAS.index(a) for a in (1.0, 2.0, 3.0)]
@@ -67,3 +68,31 @@ class TestSplitChunks:
                 np.testing.assert_array_equal(rows, _bulk.decode_rows(codes, n))
                 total += chunk.size
         assert total == [1, 1, 3, 19, 195, 3031][n - 1]
+
+
+class TestDecodeRows:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_graph_rows(self, rng, n):
+        bits = n * (n - 1) // 2
+        codes = rng.integers(0, 1 << bits, size=200, dtype=np.int64) if bits else np.zeros(1, np.int64)
+        rows = _bulk.decode_rows(codes, n)
+        assert rows.shape == (codes.size, n) and rows.dtype == np.int32
+        assert rows.tolist() == [list(from_code(n, int(c)).rows) for c in codes]
+
+
+class TestConnectedMask:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_graph_against_bfs(self, n):
+        # keep: all vertices, all but one or two, and each single vertex
+        full = (1 << n) - 1
+        keeps = {full} | {full & ~(1 << u) & ~(1 << v) for u in range(n) for v in range(n)}
+        keeps |= {1 << v for v in range(n)}
+        keeps.discard(0)
+        rows = _bulk.decode_rows(np.arange(1 << (n * (n - 1) // 2), dtype=np.int64), n)
+        graphs = rows.tolist()
+        for keep in sorted(keeps):
+            mask = _bulk.connected_mask(rows, n, keep)
+            assert mask.dtype == bool and mask.shape == (len(graphs),)
+            assert mask.tolist() == [induced_connected_bfs(g, keep) for g in graphs], (n, keep)
+            if keep.bit_count() == 1:
+                assert mask.all()

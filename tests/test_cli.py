@@ -8,6 +8,16 @@ from qpow.graphs import construct_gi
 from qpow.search import enumerate_graphs
 
 
+EVERY_CHECK = [
+    ["--id", "interlacing"],
+    ["--id", "monotonicity", "--alpha", "0.5"],
+    ["--id", "cospectral"],
+    ["--id", "identities"],
+    ["--id", "thm41-upper", "--alpha", "2"],
+]
+EVERY_CHECK_IDS = ["interlacing", "monotonicity", "cospectral", "identities", "bound"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -185,13 +195,7 @@ class TestCheck:
                            "--alpha", "2", "--format", "table")
         assert code == 0 and "equality = True" in out
 
-    @pytest.mark.parametrize("argv", [
-        ["--id", "interlacing"],
-        ["--id", "monotonicity", "--alpha", "0.5"],
-        ["--id", "cospectral"],
-        ["--id", "identities"],
-        ["--id", "thm41-upper", "--alpha", "2"],
-    ], ids=["interlacing", "monotonicity", "cospectral", "identities", "bound"])
+    @pytest.mark.parametrize("argv", EVERY_CHECK, ids=EVERY_CHECK_IDS)
     def test_table_format_every_check(self, capsys, argv):
         # one key = value line per key of the JSON form, with its exit code
         code, out, _ = run(capsys, "check", *argv, "--graph6", "C^")
@@ -200,6 +204,18 @@ class TestCheck:
         assert table_code == code
         lines = table.splitlines()
         assert [line.split(" = ", 1)[0] for line in lines] == list(doc)
+
+    @pytest.mark.parametrize("g6", ["C^", "C~", "Bw"])
+    @pytest.mark.parametrize("argv", EVERY_CHECK, ids=EVERY_CHECK_IDS)
+    def test_json_has_no_nan(self, capsys, argv, g6):
+        # RFC 8259 has no NaN or Infinity; a value that does not apply is null
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        _, out, _ = run(capsys, "check", *argv, "--graph6", g6)
+        doc = json.loads(out, parse_constant=reject)
+        if doc.get("check") == "cospectral" and not doc["applicable"]:
+            assert doc["max_diff"] is None
 
 
 class TestScan:

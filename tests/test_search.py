@@ -684,6 +684,15 @@ class TestBenchHooks:
         )
         assert (decodes, codes, kappas) == (3, 2 + 8 + 64, 1 + 4 + 38)
 
+    def test_traced_bipartite_scan_counts_splits(self):
+        # every cross-edge subset of every split is enumerated, and the
+        # connected ones are the labeled connected bipartite graphs (A001832)
+        codes, kept = run_traced(
+            "search.scan('conj31', range(2, 7), [2.0], threads=1)\n"
+            "print(t.counts['bulk.enum.codes'], t.counts['bulk.enum.kept'])\n"
+        )
+        assert (codes, kept) == (9966, 1 + 3 + 19 + 195 + 3031)
+
     def test_traced_scan_counts_scalar_bound(self):
         scalar, connectivity, scans = run_traced(
             "search.scan('conj44', range(2, 5), [-1, 0.5], threads=1)\n"
