@@ -1,18 +1,20 @@
 """Vectorized population kernels for exhaustive small-graph sweeps.
 
 Labeled graphs on n vertices are integer edge codes (upper-triangle bits in
-graph6 order).  Every internal population arrives as one chunk type, Chunk,
-of at most CHUNK graphs, which caps the memory of one batch: the codes, their
-per-vertex adjacency bitmasks, and for the kappa family the sweep
-connectivities.  Each graph is decoded once, by the filter that enumerates it
-or from one cache, which holds the codes and kappas of the connected graphs
-for n <= 7.  Rows are built column by column, and connectivity, of a graph or
-of the subgraph induced on a vertex set (the kappa sweep), is an in-place
-frontier sweep over a batch's columns.  The other kernels are batched
-signless Laplacian spectra and power sums, and upper bounds on the power sums
-from exact integer trace moments, which let a scan skip the eigensolve of
-graphs that cannot reach its report.  Results feed the search module;
-single-graph questions go through the ordinary Graph API instead.
+graph6 order).  Every population, internal or streamed, arrives as one batch
+type, Chunk, from its source to the scan report: the codes, their per-vertex
+adjacency bitmasks of shape (B, n), for the kappa family the connectivities,
+and for a bipartite split vertex 0's part size.  An internal chunk holds at
+most CHUNK graphs, which caps the memory of one batch.  Each graph is decoded
+once, by the filter that enumerates it or from one cache, which holds the
+codes and kappas of the connected graphs for n <= 7.  Rows are built column
+by column, and connectivity, of a graph or of the subgraph induced on a
+vertex set (the kappa sweep), is an in-place frontier sweep over a batch's
+columns.  The other kernels are batched signless Laplacian spectra and power
+sums, and upper bounds on the power sums from exact integer trace moments,
+which let a scan skip the eigensolve of graphs that cannot reach its report.
+Results feed the search module; single-graph questions go through the
+ordinary Graph API instead.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def kappa_batch(rows: np.ndarray, n: int) -> np.ndarray:
     B = rows.shape[0]
     kappa = np.zeros(B, dtype=np.int8)
     alive = np.flatnonzero(connected_mask(rows, n))
-    sub = rows[alive]
+    sub = np.asfortranarray(rows[alive])  # contiguous columns for connected_mask
     full = (1 << n) - 1
     for size in range(1, n - 1):
         if alive.size == 0:
@@ -153,18 +155,20 @@ def kappa_batch(rows: np.ndarray, n: int) -> np.ndarray:
             hit |= ~connected_mask(sub, n, keep)
         kappa[alive[hit]] = size
         alive = alive[~hit]
-        sub = sub[~hit]
+        sub = np.asfortranarray(sub[~hit])
     kappa[alive] = n - 1
     return kappa
 
 
 class Chunk(NamedTuple):
     """One batch of a population: edge codes, per-vertex adjacency rows of
-    shape (B, n), and sweep connectivities for the kappa family (else None)."""
+    shape (B, n), connectivities for the kappa family (else None), and
+    vertex 0's part size for a bipartite split or a thm31 stream (else None)."""
 
     codes: np.ndarray
     rows: np.ndarray
     kappas: np.ndarray | None = None
+    r: int | None = None
 
     @property
     def size(self) -> int:
@@ -226,10 +230,7 @@ def split_connected_codes(n: int, amask: int):
     bipartition is exactly {A, complement}; over all splits this enumerates
     every labeled connected bipartite graph exactly once.  Rows are built from
     each graph's index among the subsets of the cross edges, and codes only
-    for the connected ones, so no graph is decoded."""
-    if n == 1:
-        yield Chunk(np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int32))
-        return
+    for the connected ones, so no graph is decoded.  Each chunk's r is |A|."""
     cross = [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
              if ((amask >> i) ^ (amask >> j)) & 1]
     total = 1 << len(cross)
@@ -242,7 +243,7 @@ def split_connected_codes(n: int, amask: int):
             codes = np.zeros(local.size, dtype=np.int64)
             for lbit, (p, _, _) in enumerate(cross):
                 codes |= ((local >> lbit) & 1) << p
-            yield Chunk(codes, rows[keep])
+            yield Chunk(codes, rows[keep], r=amask.bit_count())
 
 
 def clear_caches() -> None:

@@ -9,8 +9,8 @@ of its own - every number comes from the library.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import re
 import sys
 from dataclasses import asdict
@@ -40,6 +40,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qpow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,9 +148,8 @@ def _cmd_bounds(args) -> int:
 def _check_result_lines(doc: dict, fmt: str) -> str:
     """One check result as a JSON object or as key = value lines.  A
     non-finite float is a value that does not apply, and prints as null
-    (None), since JSON has no NaN or Infinity."""
-    doc = {key: None if isinstance(v, float) and not math.isfinite(v) else _round12(v)
-           for key, v in doc.items()}
+    (None)."""
+    doc = {key: _round12(v) for key, v in doc.items()}
     if fmt == "json":
         return json.dumps(doc)
     return "\n".join(f"{key} = {v}" for key, v in doc.items())

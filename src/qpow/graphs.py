@@ -115,8 +115,9 @@ class Graph:
         full = (1 << self.n) - 1
         return _reach(self.rows, 1, full) == full
 
-    def is_bipartite(self) -> bool:
-        """True when no component contains an odd cycle."""
+    def _two_coloring(self) -> Optional[list[int]]:
+        """The colors 0 and 1 of a proper 2-coloring, with vertex 0 colored 0,
+        or None when some component contains an odd cycle."""
         color = [-1] * self.n
         for start in range(self.n):
             if color[start] != -1:
@@ -130,8 +131,12 @@ class Graph:
                         color[v] = 1 - color[u]
                         queue.append(v)
                     elif color[v] == color[u]:
-                        return False
-        return True
+                        return None
+        return color
+
+    def is_bipartite(self) -> bool:
+        """True when no component contains an odd cycle."""
+        return self._two_coloring() is not None
 
     def bipartition(self) -> Optional[tuple[int, int]]:
         """Part sizes (r, s) of the proper 2-coloring, vertex 0's part first.
@@ -141,17 +146,9 @@ class Graph:
         """
         if not self.is_connected():
             raise ValueError("bipartition of a disconnected graph is ambiguous")
-        color = [-1] * self.n
-        color[0] = 0
-        queue = [0]
-        while queue:
-            u = queue.pop()
-            for v in self.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
+        color = self._two_coloring()
+        if color is None:
+            return None
         r = color.count(0)
         return (r, self.n - r)
 

@@ -6,26 +6,28 @@ census counts to validate against.  Scans evaluate a bound over a whole
 population, collect per-(n, k, alpha) extremal witnesses, and re-verify every
 candidate violation through the slower independent route (Jacobi eigensolver
 at tightened tolerance, flow-based connectivity) before it is reported.
-A population arrives as batches from one of two sources, internal work units
-or a buffered graph6 stream, and one loop evaluates every batch with batched
-LAPACK.  The kappa <= k populations are nested, so that loop decides every k
-of a batch from one kappa <= k mask and its cost per batch grows with the
-alpha grid, not with alpha x k.  On a grid of upper bounds only, a screen of
-exact trace-moment bounds sends to LAPACK just the graphs that can still be a
-witness or a candidate, so an upper-bound scan solves a few graphs per batch
-and leaves the report unchanged.  Re-verification computes the slow facts once
-per distinct candidate graph and then checks each candidate record against
-its graph's facts in canonical order.
+A population arrives as _bulk.Chunk batches from internal work units or from
+a buffered graph6 stream, which is one more unit, and one loop evaluates
+every batch with batched LAPACK.  The kappa <= k populations are nested, so
+that loop decides every k of a batch from one kappa <= k mask and its cost
+per batch grows with the alpha grid, not with alpha x k.  On a grid of upper
+bounds only, a screen of exact trace-moment bounds sends to LAPACK just the
+graphs that can still be a witness or a candidate, so an upper-bound scan
+solves a few graphs per batch and leaves the report unchanged.
+Re-verification computes the slow facts once per distinct candidate graph
+and then checks each candidate record against its graph's facts in canonical
+order.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, starmap
 from typing import Iterable, Iterator, Optional
 
@@ -47,12 +49,23 @@ STREAM_BATCH = 4096  # stream graphs of one n per eigensolve batch
 
 
 def _round12(x):
-    """12 significant digits for a float; any other value passes through."""
-    return float(f"{x:.12g}") if isinstance(x, float) else x
+    """12 significant digits for a finite float, and None (JSON null) for a
+    non-finite one, since JSON has no NaN or Infinity; any other value passes
+    through."""
+    if isinstance(x, float):
+        return float(f"{x:.12g}") if math.isfinite(x) else None
+    return x
+
+
+class _JsonRecord:
+    """A record's JSON object: its fields in order, numbers through _round12."""
+
+    def to_json_dict(self) -> dict:
+        return {key: _round12(v) for key, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(_JsonRecord):
     """A re-verified failure of a claimed inequality on one graph."""
 
     graph6: str
@@ -65,15 +78,9 @@ class ViolationRecord:
     margin: float
     reverified: bool
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("alpha", "invariant_value", "bound_value", "margin"):
-            d[key] = _round12(d[key])
-        return d
-
 
 @dataclass(frozen=True)
-class ExtremalWitness:
+class ExtremalWitness(_JsonRecord):
     n: int
     k: Optional[int]
     alpha: float
@@ -102,16 +109,7 @@ class ScanReport:
             "source": self.source,
             "graphs_scanned": self.graphs_scanned,
             "violations": [v.to_json_dict() for v in self.violations],
-            "extremal_witnesses": [
-                {
-                    "n": w.n,
-                    "k": w.k,
-                    "alpha": _round12(w.alpha),
-                    "graph6": w.graph6,
-                    "value": _round12(w.value),
-                }
-                for w in self.extremal_witnesses
-            ],
+            "extremal_witnesses": [w.to_json_dict() for w in self.extremal_witnesses],
             "wall_time": None if redact_timing else _round12(self.wall_time),
         }
         return json.dumps(doc)
@@ -140,7 +138,7 @@ def enumerate_graphs(n: int, filter: str = "connected", k: Optional[int] = None)
     if family == "kappa" and k is None:
         raise ValueError("the kappa_at_most filter needs k")
     _check_k(filter, family, k, n)
-    for _, codes, _, kappas, _ in chain.from_iterable(_internal_units([n], family)):
+    for codes, _, kappas, _ in chain.from_iterable(_internal_units([n], family)):
         for code in codes if kappas is None else codes[kappas <= k]:
             yield from_code(n, int(code))
 
@@ -190,28 +188,23 @@ class _Accumulator:
     def __init__(self):
         self.count = 0
         self.raw: list[tuple] = []
-        self.witness: dict[tuple, tuple[float, int, int]] = {}  # key -> (value, n, code)
+        self.witness: dict[tuple, tuple[float, int]] = {}  # (n, k, branch, alpha) -> (value, code)
 
-    def update_witness(self, key: tuple, value: float, n: int, code: int, maximize: bool):
+    def update_witness(self, key: tuple, value: float, code: int, maximize: bool):
         cur = self.witness.get(key)
         if cur is None or (value > cur[0] if maximize else value < cur[0]):
-            self.witness[key] = (value, n, code)
+            self.witness[key] = (value, code)
 
     def merge(self, other: "_Accumulator"):
         self.count += other.count
         self.raw.extend(other.raw)
-        for key, (value, n, code) in other.witness.items():
-            self.update_witness(key, value, n, code, BOUNDS[key[2]].direction == "upper")
-
-
-# A batch is (n, codes, rows, kappas, r): edge codes, per-vertex adjacency
-# bitmasks of shape (B, n), flow or sweep connectivities (kappa family only,
-# else None) and vertex 0's part size (thm31 bounds only, else None).
+        for key, (value, code) in other.witness.items():
+            self.update_witness(key, value, code, BOUNDS[key[2]].direction == "upper")
 
 
 @dataclass(frozen=True)
 class _Unit:
-    """One internal work unit, iterated as batches: every labeled connected
+    """One internal work unit, iterated as Chunks: every labeled connected
     graph on n vertices, or for the bipartite family every one whose
     bipartition is the split amask.  Units are picklable for the scan pool."""
 
@@ -220,13 +213,9 @@ class _Unit:
     amask: int = 0
 
     def __iter__(self):
-        n, r = self.n, None
         if self.family == "bipartite":
-            chunks, r = _bulk.split_connected_codes(n, self.amask), self.amask.bit_count()
-        else:
-            chunks = _bulk.connected_chunks(n, self.family == "kappa")
-        for codes, rows, kappas in chunks:
-            yield n, codes, rows, kappas, r
+            return _bulk.split_connected_codes(self.n, self.amask)
+        return _bulk.connected_chunks(self.n, self.family == "kappa")
 
 
 def _internal_units(ns, family: str) -> list[_Unit]:
@@ -239,12 +228,13 @@ def _internal_units(ns, family: str) -> list[_Unit]:
     return [_Unit(n, family) for n in ns]
 
 
-def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[tuple]:
-    """Batches of the stream graphs whose n is in ns and that belong to the
+def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[_bulk.Chunk]:
+    """Chunks of the stream graphs whose n is in ns and that belong to the
     family of branch, buffered per n and flushed every STREAM_BATCH graphs.
 
-    A buffer also flushes when r changes, so the batches of each n keep
-    stream order and witness ties break as they do in enumeration order.
+    For thm31 a chunk's r is vertex 0's part size, and a buffer also flushes
+    when r changes, so the batches of each n keep stream order and witness
+    ties break as they do in enumeration order.
     Codes stay Python ints (they overflow int64 from n = 12); connectivity
     is the per-graph flow value, which beats the batch sweep on one graph."""
     spec = BOUNDS[branch]
@@ -253,8 +243,8 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[tuple]
 
     def flush(n):
         r, codes, rows, kappas = buffers.pop(n)
-        return (n, np.array(codes, dtype=object), np.array(rows, dtype=np.int64),
-                np.array(kappas) if family == "kappa" else None, r)
+        return _bulk.Chunk(np.array(codes, dtype=object), np.array(rows, dtype=np.int64),
+                           np.array(kappas) if family == "kappa" else None, r)
 
     for g in graphs:
         if g.n not in ns or not g.is_connected():
@@ -321,7 +311,8 @@ def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) 
     screen = all(BOUNDS[branch].direction == "upper" for _, branch in branch_items)
     alphas = [alpha for alpha, _ in branch_items]
     bipartite = BOUNDS[branch_items[0][1]].family == "bipartite"
-    for n, codes, rows, kappas, r in batches:
+    for codes, rows, kappas, r in batches:
+        n = rows.shape[1]
         ks = [None] if kappas is None else list(range(1, n)) if k_fixed is None else [k_fixed]
         member = np.ones((len(codes), 1), bool) if kappas is None else kappas[:, None] <= ks
         live = member.any(axis=0)
@@ -347,20 +338,8 @@ def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) 
             filled = np.where(member, vals[:, None], -np.inf if maximize else np.inf)
             best = filled.argmax(axis=0) if maximize else filled.argmin(axis=0)
             for k, i in zip(ks, best.tolist()):
-                acc.update_witness((n, k, branch, alpha), float(vals[i]), n,
-                                   int(codes[i]), maximize)
+                acc.update_witness((n, k, branch, alpha), float(vals[i]), int(codes[i]), maximize)
     return acc
-
-
-def _slow_facts(args) -> tuple:
-    """The slow-route facts of one candidate graph: its Q spectrum at the
-    re-verification tolerance, and its flow connectivity and bipartition
-    when the scan's records need them (None otherwise)."""
-    n, code, need_kappa, need_parts = args
-    g = from_code(n, code)
-    return (q_spectrum(g, conv_scale=REVERIFY_CONV_SCALE),
-            vertex_connectivity(g) if need_kappa else None,
-            g.bipartition() if need_parts else None)
 
 
 def _reverify(raw) -> Optional[ViolationRecord]:
@@ -390,15 +369,20 @@ def _reverify(raw) -> Optional[ViolationRecord]:
 
 def _reverify_all(raws: list[tuple], family: str, branch_items) -> list[ViolationRecord]:
     """Slow facts once per distinct candidate graph, then one check per record
-    in canonical order.
+    in canonical order.  The facts are the graph's Q spectrum at the
+    re-verification tolerance, and its flow connectivity and bipartition when
+    the scan's records need them (None otherwise).
 
     The solves run in this process, one after another.  On the scan's worker
     pool they finish sooner on an idle machine, but their time then rises and
     falls with the load on every core, not just one."""
-    graphs = sorted({(raw[0], raw[1]) for raw in raws})
     need_parts = any(BOUNDS[branch].shape == "parts" for _, branch in branch_items)
-    jobs = [(n, code, family == "kappa", need_parts) for n, code in graphs]
-    facts = dict(zip(graphs, map(_slow_facts, jobs)))
+    facts = {}
+    for n, code in sorted({raw[:2] for raw in raws}):
+        g = from_code(n, code)
+        facts[n, code] = (q_spectrum(g, conv_scale=REVERIFY_CONV_SCALE),
+                          vertex_connectivity(g) if family == "kappa" else None,
+                          g.bipartition() if need_parts else None)
     violations = []
     for raw in sorted(raws, key=lambda r: (r[0], -1 if r[2] is None else r[2], r[3], r[1])):
         record = _reverify(raw + (facts[raw[0], raw[1]],))
@@ -450,30 +434,27 @@ def scan(
     _check_k(bound_id, family, k)
     branch_items = tuple(sorted(branch_map.items()))
     live = _live_ns(ns, k)
-    acc = _Accumulator()
     if source is None:
         units = _internal_units(sorted(live), family)
-        jobs = [(_Accumulator(), unit, branch_items, k) for unit in units]
-        nworkers = min(_threads_from_env(threads), len(units))
-        # fork may follow numpy's BLAS threads; workers' _bulk cache fills stay there
-        if nworkers > 1:
-            with multiprocessing.get_context("fork").Pool(nworkers) as pool:
-                parts = pool.starmap(_evaluate, jobs)
-        else:
-            parts = starmap(_evaluate, jobs)
-        for part in parts:
-            acc.merge(part)
-        source_name = "internal"
+    else:  # one unit, so it runs in this process
+        units = [_stream_batches(read_stream(source, strict=strict, on_error=on_error),
+                                 live, branch_items[0][1])]
+    jobs = [(_Accumulator(), unit, branch_items, k) for unit in units]
+    nworkers = min(_threads_from_env(threads), len(units))
+    # fork may follow numpy's BLAS threads; workers' _bulk cache fills stay there
+    if nworkers > 1:
+        with multiprocessing.get_context("fork").Pool(nworkers) as pool:
+            parts = pool.starmap(_evaluate, jobs)
     else:
-        graphs = read_stream(source, strict=strict, on_error=on_error)
-        _evaluate(acc, _stream_batches(graphs, live, branch_items[0][1]), branch_items, k)
-        source_name = "stream"
+        parts = starmap(_evaluate, jobs)
+    acc = _Accumulator()
+    for part in parts:
+        acc.merge(part)
     violations = _reverify_all(acc.raw, family, branch_items)
     encode = functools.cache(emit_code)  # one string per witness graph, not per key
     witnesses = [
-        ExtremalWitness(n=key[0], k=key[1], alpha=key[3],
-                        graph6=encode(key[0], entry[2]), value=entry[0])
-        for key, entry in sorted(
+        ExtremalWitness(n=key[0], k=key[1], alpha=key[3], graph6=encode(key[0], code), value=value)
+        for key, (value, code) in sorted(
             acc.witness.items(),
             key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1], kv[0][3]),
         )
@@ -483,7 +464,7 @@ def scan(
         n_range=ns,
         alpha_grid=alphas,
         k=k,
-        source=source_name,
+        source="internal" if source is None else "stream",
         graphs_scanned=acc.count,
         violations=violations,
         extremal_witnesses=witnesses,
@@ -502,23 +483,23 @@ def extremal_table(
     """Rank the population by the power sum: the head of this table is where
     extremal-graph claims are confirmed.  Upper bounds rank descending, lower
     bounds ascending; ties keep enumeration (or stream) order.  For the kappa
-    family the population is kappa <= k, with k = n-1 when not given.  A
-    top below 1 or an n below 2 raises ValueError."""
+    family the population is kappa <= k; without k that is every connected
+    graph, which is enumerated without the kappa sweep.  A top below 1 or an
+    n below 2 raises ValueError."""
     if top < 1:
         raise ValueError(f"need top >= 1, got top={top}")
-    branch = resolve_bound_id(bound_id, alpha)
-    if branch is None:
-        raise ValueError(f"no branch of {bound_id!r} covers alpha={alpha:g}")
+    (branch,) = _resolve_grid(bound_id, [alpha]).values()
     spec = BOUNDS[branch]
     _check_k(bound_id, spec.family, k, n)
     _live_ns([n], k)
     if source is None:
-        batches = chain.from_iterable(_internal_units([n], spec.family))
+        family = "connected" if spec.family == "kappa" and k is None else spec.family
+        batches = chain.from_iterable(_internal_units([n], family))
     else:
         batches = _stream_batches(read_stream(source), {n}, branch)
     values: list[np.ndarray] = []
     codes: list[np.ndarray] = []
-    for _, cds, rows, kappas, _ in batches:
+    for cds, rows, kappas, _ in batches:
         vals = _bulk.power_sums(_bulk.q_eigs(rows, n), alpha)
         if kappas is not None:
             keep = kappas <= (n - 1 if k is None else k)

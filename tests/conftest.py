@@ -89,7 +89,8 @@ def evaluate_reference(acc, batches, branch_items, k_fixed):
     selection, bound, margin vector and argmax/argmin for every k of every
     alpha.  search._evaluate must give the same count, witnesses and (in
     sorted order) raw candidates."""
-    for n, codes, rows, kappas, r in batches:
+    for codes, rows, kappas, r in batches:
+        n = rows.shape[1]
         eigs = _bulk.q_eigs(rows, n)
         ks = [None] if kappas is None else range(1, n) if k_fixed is None else [k_fixed]
         acc.count += len(codes) if kappas is None or k_fixed is None else int(np.sum(kappas <= k_fixed))
@@ -107,7 +108,7 @@ def evaluate_reference(acc, batches, branch_items, k_fixed):
                     acc.raw.append((n, int(codes[sel[idx]]), k, alpha, branch,
                                     float(vsel[idx]), float(bval)))
                 j = int(np.argmax(vsel)) if maximize else int(np.argmin(vsel))
-                acc.update_witness((n, k, branch, alpha), float(vsel[j]), n,
+                acc.update_witness((n, k, branch, alpha), float(vsel[j]),
                                    int(codes[sel[j]]), maximize)
     return acc
 

@@ -91,7 +91,7 @@ def test_criterion_03_balanced_bipartite_bound_exhaustive():
         spec_tol = 1e-7 * max(1.0, float(target[0]))
         count = 0
         for amask in _bulk.bipartite_splits(n):
-            for codes, rows, _ in _bulk.split_connected_codes(n, amask):
+            for codes, rows, _, _ in _bulk.split_connected_codes(n, amask):
                 count += codes.size
                 eigs = _bulk.q_eigs(rows, n)
                 cosp = np.max(np.abs(eigs - target), axis=1) <= spec_tol
@@ -250,7 +250,7 @@ def test_criterion_07_bipartite_cospectrality():
     total = 0
     for n in range(2, 9):
         for amask in _bulk.bipartite_splits(n):
-            for codes, rows, _ in _bulk.split_connected_codes(n, amask):
+            for codes, rows, _, _ in _bulk.split_connected_codes(n, amask):
                 diff = np.max(np.abs(_bulk.q_eigs(rows, n) - l_eigs(rows, n)))
                 worst = max(worst, float(diff))
                 total += codes.size

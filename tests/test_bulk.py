@@ -40,7 +40,7 @@ class TestMomentUpperBounds:
         # no triangles and one zero eigenvalue: S_0 = n-1 tightens 0 < a < 1
         below_one = [i for i, a in enumerate(ALPHAS) if a < 1]
         for amask in _bulk.bipartite_splits(n):
-            for codes, rows, _ in _bulk.split_connected_codes(n, amask):
+            for codes, rows, _, _ in _bulk.split_connected_codes(n, amask):
                 assert_bounds_hold(rows, n, bipartite=True)
                 tight = _bulk.moment_upper_bounds(rows, n, ALPHAS, bipartite=True)
                 loose = _bulk.moment_upper_bounds(rows, n, ALPHAS)
@@ -62,7 +62,7 @@ class TestSplitChunks:
         total = 0
         for amask in _bulk.bipartite_splits(n):
             for chunk in _bulk.split_connected_codes(n, amask):
-                codes, rows, _ = chunk
+                codes, rows, _, _ = chunk
                 assert chunk.size == codes.size == rows.shape[0]
                 assert rows.dtype == np.int32
                 np.testing.assert_array_equal(rows, _bulk.decode_rows(codes, n))

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from qpow import cli
 from qpow.cli import main
 from qpow.graph6 import emit_graph6, parse_graph6
 from qpow.graphs import construct_gi
@@ -308,6 +310,16 @@ class TestScan:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "QPOW_THREADS" in err and f"'{value}'" in err
 
+    def test_malformed_threads_env_stream(self, capsys, monkeypatch, tmp_path):
+        # a stream scan reads QPOW_THREADS like an internal one
+        path = tmp_path / "graphs.g6"
+        path.write_text("Bw\nC~\n", encoding="ascii")
+        monkeypatch.setenv("QPOW_THREADS", "abc")
+        code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4",
+                             "--alpha-grid", "1", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "QPOW_THREADS" in err and "'abc'" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         path = str(tmp_path / "nonexistent.g6")
         code, out, err = run(capsys, "scan", "--id", "thm41", "--max-n", "4",
@@ -343,6 +355,44 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--id", "conj44", *ns, "--alpha-grid", "0.5")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "n >= 2" in err
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["check", "--id", "cospectral", "--graph6", "C^", "--format", "table"],
+        ["check", "--id", "thm41-upper", "--alpha", "2", "--graph6", "Bw"],
+        ["scan", "--id", "thm32", "--max-n", "4", "--alpha-grid", "0.5", "--format", "csv"],
+        ["scan", "--id", "conj44", "--max-n", "4", "--alpha-grid", "-1", "--format", "table"],
+        ["scan", "--id", "conj44", "--max-n", "4", "--alpha-grid", "-1"],
+        ["check", "--id", "identities", "--graph6", "C^"],
+        ["spectrum", "--graph6", "Bw", "--matrix", "Q"],
+        ["bounds", "--id", "thm41-upper", "--n", "5", "--alpha", "2"],
+        ["construct", "gi", "5", "1", "1", "--emit", "graph6"],
+        ["construct", "gi", "5", "1", "1"],
+        ["invariant", "--graph6", "Bw", "--name", "Kf"],
+        ["scan", "--id", "thm32", "--format", "csv"],
+        ["check", "--id", "cospectral", "--graph6", "C^"],
+    ]
+
+    @staticmethod
+    def steady(capsys, argv):
+        """Exit code, stdout and stderr of one call, with the scan's wall
+        time (the one output that varies between runs) blanked."""
+        code, out, err = run(capsys, *argv)
+        return code, re.sub(r'"wall_time": [^,}]+|, [\d.]+s\n', "", out), err
+
+    def test_calls_in_one_process_match_single_calls(self, capsys):
+        # the parser is built once per process, and no default or value of
+        # one call leaks into the next
+        single = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            single.append(self.steady(capsys, argv))
+        cli._build_parser.cache_clear()
+        for argvs, want in [(self.ARGVS, single), (self.ARGVS[::-1], single[::-1])]:
+            assert [self.steady(capsys, argv) for argv in argvs] == want
+        assert cli._build_parser.cache_info().misses == 1
+        assert {code for code, _, _ in single} == {0, 1, 2}
 
 
 class TestExitCodes:

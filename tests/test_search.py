@@ -12,7 +12,7 @@ import pytest
 from qpow import _bulk
 from qpow.bounds import BOUNDS, bound_value, gi_spectrum
 from qpow.graph6 import emit_graph6, parse_graph6, read_stream
-from qpow.graphs import construct_gi
+from qpow.graphs import construct_gi, from_code
 from qpow.connectivity import vertex_connectivity
 from qpow.invariants import nonzero_power_sum
 import qpow.search as search
@@ -270,6 +270,24 @@ class TestReports:
         doc = json.loads(scan("thm41", range(2, 4), [1]).to_json())
         assert isinstance(doc["wall_time"], float)
 
+    def test_json_has_no_nan_or_infinity(self):
+        # JSON has no NaN or Infinity: every non-finite report number is null
+        nan, inf = float("nan"), float("inf")
+        violation = search.ViolationRecord("Bw", 3, None, 2.0, "thm41-upper", nan, inf, -inf, True)
+        witness = search.ExtremalWitness(3, 2, 2.0, "Bw", -inf)
+        report = search.ScanReport("thm41", [3], [2.0], None, "stream", 1, [violation],
+                                   [witness], nan)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(report.to_json(), parse_constant=reject)
+        assert doc["violations"] == [dict(dataclasses.asdict(violation), invariant_value=None,
+                                          bound_value=None, margin=None)]
+        assert doc["extremal_witnesses"] == [
+            {"n": 3, "k": 2, "alpha": 2.0, "graph6": "Bw", "value": None}]
+        assert doc["wall_time"] is None
+
 
 def population_lines(bound_id, ns):
     """graph6 lines of the bound's population in enumeration order."""
@@ -435,6 +453,23 @@ class TestExtremalTable:
         with pytest.raises(ValueError, match="the bounds need n >= 2"):
             extremal_table(bound_id, 1, alpha, source=source and iter(source))
 
+    def test_kappa_family_without_k_skips_the_sweep(self, monkeypatch):
+        # kappa <= n-1 is every connected graph, in the same code order; a
+        # private cache, so a cached n = 6 population cannot hide a sweep
+        monkeypatch.setattr(_bulk, "_connected_cache", {})
+        calls = []
+        original = _bulk.kappa_batch
+
+        def counting(rows, n):
+            calls.append(len(rows))
+            return original(rows, n)
+
+        monkeypatch.setattr(_bulk, "kappa_batch", counting)
+        table = extremal_table("conj44", 6, -1.0)
+        assert calls == []
+        assert table == extremal_table("conj44", 6, -1.0, k=5)
+        assert sum(calls) > 0
+
     @pytest.mark.parametrize("top", [0, -1])
     def test_top_below_one_rejected(self, top):
         with pytest.raises(ValueError, match="top"):
@@ -447,6 +482,42 @@ class TestExtremalTable:
             extremal_table("thm43", 6, 2, k=k)
         with pytest.raises(ValueError, match="k="):
             extremal_table("thm43", 6, 2, k=k, source=iter(lines))
+
+
+class TestChunkSources:
+    """Every batch source yields _bulk.Chunk with rows of n columns; r is
+    vertex 0's part size on bipartite splits and thm31 streams, else None."""
+
+    @pytest.mark.parametrize("family", ["connected", "kappa", "bipartite"])
+    def test_internal_units(self, family):
+        for unit in search._internal_units(range(1, 6), family):
+            for chunk in unit:
+                assert isinstance(chunk, _bulk.Chunk)
+                assert chunk.rows.shape == (chunk.size, unit.n)
+                assert (chunk.kappas is not None) == (family == "kappa")
+                if family == "bipartite":
+                    parts = {from_code(unit.n, int(code)).bipartition()[0] for code in chunk.codes}
+                    assert parts == {chunk.r} == {unit.amask.bit_count()}
+                else:
+                    assert chunk.r is None
+
+    @pytest.mark.parametrize("branch", ["thm41-upper", "conj44-lower", "thm31-upper", "thm32-upper"])
+    def test_stream_batches(self, branch):
+        lines = [emit_graph6(g) for n in (4, 5) for g in enumerate_graphs(n, "connected")]
+        spec = BOUNDS[branch]
+        chunks = list(search._stream_batches(read_stream(lines), {4, 5}, branch))
+        assert sum(chunk.size for chunk in chunks) == (19 + 195 if spec.family == "bipartite"
+                                                       else 38 + 728)
+        for chunk in chunks:
+            n = chunk.rows.shape[1]
+            assert isinstance(chunk, _bulk.Chunk) and n in (4, 5)
+            assert chunk.rows.shape == (chunk.size, n)
+            assert (chunk.kappas is not None) == (spec.family == "kappa")
+            if spec.shape == "parts":
+                parts = {from_code(n, int(code)).bipartition()[0] for code in chunk.codes}
+                assert parts == {chunk.r}
+            else:
+                assert chunk.r is None
 
 
 def evaluate_both(batches, bound_id, alphas, k=None):
@@ -501,16 +572,17 @@ class TestEvaluateMatchesReference:
 
     def test_exact_ties_pick_first_graph(self):
         lines = [emit_graph6(g) for g in enumerate_graphs(4, "connected")]
-        (n, codes, rows, kappas, _), = search._stream_batches(read_stream(lines), {4}, "conj44-lower")
+        (codes, rows, kappas, _), = search._stream_batches(read_stream(lines), {4}, "conj44-lower")
+        n = rows.shape[1]
         vals = _bulk.power_sums(_bulk.q_eigs(rows, n), -1.0)
-        new, _ = evaluate_both([(n, codes, rows, kappas, None)], "conj44", [-1])
+        new, _ = evaluate_both([_bulk.Chunk(codes, rows, kappas)], "conj44", [-1])
         ties = 0
         for k in range(1, n):
             members = np.flatnonzero(kappas <= k)
             best = vals[members].min()
             first = members[np.flatnonzero(vals[members] == best)[0]]
             ties += int(np.sum(vals[members] == best)) - 1
-            assert new.witness[(n, k, "conj44-lower", -1.0)] == (best, n, int(codes[first]))
+            assert new.witness[(n, k, "conj44-lower", -1.0)] == (best, int(codes[first]))
         assert ties > 0
 
 
