@@ -16,7 +16,9 @@ graphs that can still be a witness or a candidate, so an upper-bound scan
 solves a few graphs per batch and leaves the report unchanged.
 Re-verification computes the slow facts once per distinct candidate graph
 and then checks each candidate record against its graph's facts in canonical
-order.
+order.  The candidate graphs of one n get their Jacobi spectra from one
+batched solve once there are REVERIFY_BATCH_MIN of them, and one by one
+below that; both give the same bits, so the report does not depend on it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain, groupby, starmap
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -39,12 +41,15 @@ from .connectivity import vertex_connectivity
 from .graph6 import emit_code, read_stream
 from .graphs import Graph, from_code
 from .invariants import _check_alpha, nonzero_power_sum
-from .spectra import q_spectrum
+from .spectra import Spectrum, jacobi_eigenvalues_batch, q_spectrum, spectrum_from_values
 from .verify import tol_eq
 
 # the largest n each family's labeled enumeration finishes at desk scale
 INTERNAL_ENUM_CAP = {"connected": 8, "kappa": 8, "bipartite": 9}
 REVERIFY_CONV_SCALE = 1e-14  # Jacobi convergence for re-verification (100x tighter)
+# the fewest graphs of one n that re-verification solves as one Jacobi batch:
+# below it the per-graph solver is faster (measured crossover, n = 4..12)
+REVERIFY_BATCH_MIN = 32
 STREAM_BATCH = 4096  # stream graphs of one n per eigensolve batch
 
 
@@ -228,9 +233,10 @@ def _internal_units(ns, family: str) -> list[_Unit]:
     return [_Unit(n, family) for n in ns]
 
 
-def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[_bulk.Chunk]:
+def _stream_batches(graphs: Iterable[Graph], ns, branch: str, family: str) -> Iterator[_bulk.Chunk]:
     """Chunks of the stream graphs whose n is in ns and that belong to the
-    family of branch, buffered per n and flushed every STREAM_BATCH graphs.
+    family ("connected", "kappa" or "bipartite"), buffered per n and flushed
+    every STREAM_BATCH graphs.  Only the kappa family computes kappas.
 
     For thm31 a chunk's r is vertex 0's part size, and a buffer also flushes
     when r changes, so the batches of each n keep stream order and witness
@@ -238,7 +244,6 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str) -> Iterator[_bulk.
     Codes stay Python ints (they overflow int64 from n = 12); connectivity
     is the per-graph flow value, which beats the batch sweep on one graph."""
     spec = BOUNDS[branch]
-    family = spec.family
     buffers: dict[int, tuple] = {}  # n -> (r, codes, rows, kappas)
 
     def flush(n):
@@ -345,44 +350,57 @@ def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) 
 def _reverify(raw) -> Optional[ViolationRecord]:
     """Recompute one candidate violation from its graph's slow-route facts,
     which ride at the end of the record."""
-    n, code, k, alpha, branch, _, _, (spectrum, kappa, parts) = raw
+    n, _, k, alpha, branch, _, _, (graph6, spectrum, kappa, parts) = raw
     spec = BOUNDS[branch]
     value = nonzero_power_sum(spectrum, alpha)
     r = None
     if spec.shape == "parts":
         if parts is None:
-            raise RuntimeError(f"re-verification: {emit_code(n, code)} is not bipartite")
+            raise RuntimeError(f"re-verification: {graph6} is not bipartite")
         r = parts[0]
     if spec.family == "kappa" and kappa > k:
-        raise RuntimeError(
-            f"re-verification: flow connectivity {kappa} of {emit_code(n, code)} exceeds k={k}"
-        )
+        raise RuntimeError(f"re-verification: flow connectivity {kappa} of {graph6} exceeds k={k}")
     bval = _scalar_bound(branch, alpha, n, k, r=r)
     margin = bval - value if spec.direction == "upper" else value - bval
     if margin < -tol_eq(bval):
         return ViolationRecord(
-            graph6=emit_code(n, code), n=n, k=k, alpha=alpha, bound_id=branch,
+            graph6=graph6, n=n, k=k, alpha=alpha, bound_id=branch,
             invariant_value=value, bound_value=bval, margin=margin, reverified=True,
         )
     return None
 
 
+def _reverify_spectra(n: int, graphs: list[Graph]) -> list[Spectrum]:
+    """The Q spectra of graphs on n vertices at the re-verification
+    tolerance: one batched Jacobi solve from REVERIFY_BATCH_MIN graphs up,
+    q_spectrum per graph below.  Both give the same bits."""
+    if len(graphs) < REVERIFY_BATCH_MIN:
+        return [q_spectrum(g, conv_scale=REVERIFY_CONV_SCALE) for g in graphs]
+    # Graph.rows, not decode_rows: stream codes overflow int64 from n = 12
+    mats = _bulk.q_matrices(np.array([g.rows for g in graphs], dtype=np.int64), n)
+    return [spectrum_from_values(values)
+            for values in jacobi_eigenvalues_batch(mats, conv_scale=REVERIFY_CONV_SCALE)]
+
+
 def _reverify_all(raws: list[tuple], family: str, branch_items) -> list[ViolationRecord]:
     """Slow facts once per distinct candidate graph, then one check per record
-    in canonical order.  The facts are the graph's Q spectrum at the
-    re-verification tolerance, and its flow connectivity and bipartition when
+    in canonical order.  The facts are the graph's graph6 string, its Q
+    spectrum at the re-verification tolerance (_reverify_spectra, over the
+    graphs of each n at once), and its flow connectivity and bipartition when
     the scan's records need them (None otherwise).
 
-    The solves run in this process, one after another.  On the scan's worker
-    pool they finish sooner on an idle machine, but their time then rises and
-    falls with the load on every core, not just one."""
+    The solves run in this process.  On the scan's worker pool they finish
+    sooner on an idle machine, but their time then rises and falls with the
+    load on every core, not just one."""
     need_parts = any(BOUNDS[branch].shape == "parts" for _, branch in branch_items)
     facts = {}
-    for n, code in sorted({raw[:2] for raw in raws}):
-        g = from_code(n, code)
-        facts[n, code] = (q_spectrum(g, conv_scale=REVERIFY_CONV_SCALE),
-                          vertex_connectivity(g) if family == "kappa" else None,
-                          g.bipartition() if need_parts else None)
+    for n, pairs in groupby(sorted({raw[:2] for raw in raws}), key=lambda pair: pair[0]):
+        codes = [code for _, code in pairs]
+        graphs = [from_code(n, code) for code in codes]
+        for code, g, spectrum in zip(codes, graphs, _reverify_spectra(n, graphs)):
+            facts[n, code] = (emit_code(n, code), spectrum,
+                              vertex_connectivity(g) if family == "kappa" else None,
+                              g.bipartition() if need_parts else None)
     violations = []
     for raw in sorted(raws, key=lambda r: (r[0], -1 if r[2] is None else r[2], r[3], r[1])):
         record = _reverify(raw + (facts[raw[0], raw[1]],))
@@ -438,7 +456,7 @@ def scan(
         units = _internal_units(sorted(live), family)
     else:  # one unit, so it runs in this process
         units = [_stream_batches(read_stream(source, strict=strict, on_error=on_error),
-                                 live, branch_items[0][1])]
+                                 live, branch_items[0][1], family)]
     jobs = [(_Accumulator(), unit, branch_items, k) for unit in units]
     nworkers = min(_threads_from_env(threads), len(units))
     # fork may follow numpy's BLAS threads; workers' _bulk cache fills stay there
@@ -492,11 +510,11 @@ def extremal_table(
     spec = BOUNDS[branch]
     _check_k(bound_id, spec.family, k, n)
     _live_ns([n], k)
+    family = "connected" if spec.family == "kappa" and k is None else spec.family
     if source is None:
-        family = "connected" if spec.family == "kappa" and k is None else spec.family
         batches = chain.from_iterable(_internal_units([n], family))
     else:
-        batches = _stream_batches(read_stream(source), {n}, branch)
+        batches = _stream_batches(read_stream(source), {n}, branch, family)
     values: list[np.ndarray] = []
     codes: list[np.ndarray] = []
     for cds, rows, kappas, _ in batches:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import chain
@@ -12,12 +13,12 @@ import pytest
 from qpow import _bulk
 from qpow.bounds import BOUNDS, bound_value, gi_spectrum
 from qpow.graph6 import emit_graph6, parse_graph6, read_stream
-from qpow.graphs import construct_gi, from_code
+from qpow.graphs import Graph, construct_gi, from_code
 from qpow.connectivity import vertex_connectivity
 from qpow.invariants import nonzero_power_sum
 import qpow.search as search
 from qpow.search import REVERIFY_CONV_SCALE, enumerate_graphs, extremal_table, scan
-from qpow.spectra import q_spectrum
+from qpow.spectra import jacobi_eigenvalues_batch, q_spectrum, signless_laplacian
 from qpow.verify import matches_extremal, tol_eq
 
 import conftest
@@ -196,18 +197,59 @@ class TestScanConjectures:
             scan("thm41", ns, [1], source=iter(["Bw"]))
 
     def test_one_slow_solve_per_distinct_violating_graph(self, monkeypatch):
-        solves = []
+        # both routes of search._reverify_spectra: the n = 5 candidates are
+        # one batch, the fewer ones of smaller n are solved one by one
+        solves, batches = [], []
 
-        def counting(g, **kw):
-            solves.append((g.n, g.to_code(), kw.get("conv_scale")))
+        def per_graph(g, **kw):
+            solves.append((signless_laplacian(g).tobytes(), kw.get("conv_scale")))
             return q_spectrum(g, **kw)
 
-        monkeypatch.setattr(search, "q_spectrum", counting)
+        def batched(stack, **kw):
+            solves.extend((m.tobytes(), kw.get("conv_scale")) for m in stack)
+            batches.append(len(stack))
+            return jacobi_eigenvalues_batch(stack, **kw)
+
+        monkeypatch.setattr(search, "q_spectrum", per_graph)
+        monkeypatch.setattr(search, "jacobi_eigenvalues_batch", batched)
         report = scan("conj44", range(2, 6), [-1, -0.5], threads=1)
         graphs = {v.graph6 for v in report.violations}
         assert len(report.violations) > len(graphs)  # records share graphs
         assert len(solves) == len(set(solves)) == len(graphs)
-        assert {scale for _, _, scale in solves} == {REVERIFY_CONV_SCALE}
+        assert {m for m, _ in solves} == {signless_laplacian(parse_graph6(g6)).tobytes()
+                                          for g6 in graphs}
+        assert {scale for _, scale in solves} == {REVERIFY_CONV_SCALE}
+        assert len(batches) == 1 and batches[0] >= search.REVERIFY_BATCH_MIN
+        assert len(solves) > batches[0]
+
+    def test_stream_batch_matches_per_graph_above_int64(self, monkeypatch):
+        # labeled copies of K_{r,12-r} and K_{r,13-r}: conj31 fails on the
+        # unbalanced ones at alpha 4 and 5, and most of their codes need more
+        # than 63 bits, so the n = 12 batch must come from Graph.rows
+        rng = random.Random(12)
+        lines = []
+        for n, copies in ((12, 60), (13, 8)):
+            for _ in range(copies):
+                r = rng.randint(2, n // 2)
+                perm = rng.sample(range(n), n)
+                edges = [(perm[i], perm[j]) for i in range(r) for j in range(r, n)]
+                lines.append(emit_graph6(Graph(n, edges)))
+        shapes = []
+
+        def batched(stack, **kw):
+            shapes.append(stack.shape)
+            return jacobi_eigenvalues_batch(stack, **kw)
+
+        monkeypatch.setattr(search, "jacobi_eigenvalues_batch", batched)
+        report = scan("conj31", [12, 13], [4.0, 5.0], source=iter(lines))
+        twelve = {v.graph6 for v in report.violations if v.n == 12}
+        assert len(twelve) >= search.REVERIFY_BATCH_MIN
+        monkeypatch.setattr(search, "REVERIFY_BATCH_MIN", len(lines) + 1)  # every graph alone
+        alone = scan("conj31", [12, 13], [4.0, 5.0], source=iter(lines))
+        assert report.to_json(redact_timing=True) == alone.to_json(redact_timing=True)
+        assert max(parse_graph6(g6).to_code() for g6 in twelve) >= 2**63
+        assert shapes == [(len(twelve), 12, 12)]
+        assert any(v.n == 13 for v in report.violations)
 
     def test_flow_connectivity_above_k_raises(self, monkeypatch):
         monkeypatch.setattr(search, "vertex_connectivity", lambda g: g.n)
@@ -470,6 +512,23 @@ class TestExtremalTable:
         assert table == extremal_table("conj44", 6, -1.0, k=5)
         assert sum(calls) > 0
 
+    def test_kappa_family_without_k_over_a_stream_skips_flow(self, monkeypatch):
+        lines = [emit_graph6(g) for g in enumerate_graphs(5, "connected")]
+        calls = []
+        original = search.vertex_connectivity
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(search, "vertex_connectivity", counting)
+        for alpha in (-1.0, 0.5):
+            table = extremal_table("conj44", 5, alpha, source=iter(lines))
+            assert calls == []
+            assert table == extremal_table("conj44", 5, alpha, k=4, source=iter(lines))
+            assert len(calls) == 728
+            calls.clear()
+
     @pytest.mark.parametrize("top", [0, -1])
     def test_top_below_one_rejected(self, top):
         with pytest.raises(ValueError, match="top"):
@@ -505,7 +564,7 @@ class TestChunkSources:
     def test_stream_batches(self, branch):
         lines = [emit_graph6(g) for n in (4, 5) for g in enumerate_graphs(n, "connected")]
         spec = BOUNDS[branch]
-        chunks = list(search._stream_batches(read_stream(lines), {4, 5}, branch))
+        chunks = list(search._stream_batches(read_stream(lines), {4, 5}, branch, spec.family))
         assert sum(chunk.size for chunk in chunks) == (19 + 195 if spec.family == "bipartite"
                                                        else 38 + 728)
         for chunk in chunks:
@@ -566,13 +625,15 @@ class TestEvaluateMatchesReference:
         lines = [emit_graph6(g) for n in (4, 5) for g in enumerate_graphs(n, "connected")]
         lines += lines[::7]
         branch = search._resolve_grid(bound_id, alphas)[float(alphas[0])]
-        batches = list(search._stream_batches(read_stream(lines), {4, 5}, branch))
+        batches = list(search._stream_batches(read_stream(lines), {4, 5}, branch,
+                                              BOUNDS[branch].family))
         new, ref = evaluate_both(batches, bound_id, alphas, k)
         assert_same(new, ref)
 
     def test_exact_ties_pick_first_graph(self):
         lines = [emit_graph6(g) for g in enumerate_graphs(4, "connected")]
-        (codes, rows, kappas, _), = search._stream_batches(read_stream(lines), {4}, "conj44-lower")
+        (codes, rows, kappas, _), = search._stream_batches(read_stream(lines), {4}, "conj44-lower",
+                                                           "kappa")
         n = rows.shape[1]
         vals = _bulk.power_sums(_bulk.q_eigs(rows, n), -1.0)
         new, _ = evaluate_both([_bulk.Chunk(codes, rows, kappas)], "conj44", [-1])
@@ -665,7 +726,7 @@ class TestMomentScreen:
         lines = [emit_graph6(g) for n in (4, 5) for g in enumerate_graphs(n, "connected")]
         lines += lines[::7]
         branch = search._resolve_grid(bound_id, alphas)[float(alphas[0])]
-        batches = search._stream_batches(read_stream(lines), {4, 5}, branch)
+        batches = search._stream_batches(read_stream(lines), {4, 5}, branch, BOUNDS[branch].family)
         new, solved = screened_vs_reference(monkeypatch, batches, bound_id, alphas, k)
         assert solved < new.count
 
@@ -690,7 +751,7 @@ class TestWitnessEncoding:
         report = scan("conj44", range(2, 9), [-2, -1, 0.5], source=iter(lines))
         distinct = {(w.n, w.graph6) for w in report.extremal_witnesses}
         assert len(report.extremal_witnesses) > len(distinct)
-        assert len(calls) <= len(distinct) + len(report.violations)
+        assert len(calls) <= len(distinct) + len({v.graph6 for v in report.violations})
         for w in report.extremal_witnesses:
             assert w.graph6 in lines
             assert w.graph6 == emit_graph6(parse_graph6(w.graph6))

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpow.graphs import complete, complete_bipartite, cycle, empty, from_code, path
+from qpow.graphs import complete, complete_bipartite, cycle, disjoint_union, empty, from_code, path
 from qpow.spectra import (
     JACOBI_CONV_SCALE,
+    JACOBI_MAX_SWEEPS,
     EigensolverError,
     a_spectrum,
     adjacency,
     jacobi_eigenvalues,
+    jacobi_eigenvalues_batch,
     l_spectrum,
     laplacian,
     q_spectrum,
@@ -163,6 +165,101 @@ class TestJacobiMatchesReference:
                 m = m + m.T
                 got = jacobi_eigenvalues(m, conv_scale=conv_scale)
                 assert np.array_equal(got, jacobi_reference(m, conv_scale)), n
+
+    # the batched solver, called directly so that every stack takes the
+    # batched kernel whatever its size
+
+    @pytest.mark.parametrize("conv_scale", [JACOBI_CONV_SCALE, 1e-14])
+    def test_batched_graph_matrices(self, conv_scale):
+        solved = 0
+        for n in range(1, 6):
+            graphs = list(connected_graphs_naive(n))
+            for build in (signless_laplacian, laplacian, adjacency):
+                stack = np.stack([build(g) for g in graphs])
+                got = jacobi_eigenvalues_batch(stack, conv_scale=conv_scale)
+                assert got.shape == (len(graphs), n)
+                for g, m, row in zip(graphs, stack, got):
+                    assert np.array_equal(row, jacobi_reference(m, conv_scale)), (n, g.to_code())
+                    solved += 1
+        assert solved == 3 * (1 + 1 + 4 + 38 + 728)
+
+    @pytest.mark.parametrize("conv_scale", [JACOBI_CONV_SCALE, 1e-14])
+    def test_batched_random_symmetric(self, conv_scale):
+        rng = np.random.default_rng(6)
+        for n in range(1, 25):
+            stack = rng.normal(size=(6, n, n))
+            stack = stack + stack.transpose(0, 2, 1)
+            got = jacobi_eigenvalues_batch(stack, conv_scale=conv_scale)
+            for m, row in zip(stack, got):
+                assert np.array_equal(row, jacobi_reference(m, conv_scale)), n
+
+    @pytest.mark.parametrize("conv_scale", [JACOBI_CONV_SCALE, 1e-14])
+    def test_batched_mixed_stack(self, conv_scale):
+        # members leave the batch at different sweeps; the diagonal, the
+        # disconnected Qs and the zero matrices have entries pq = 0 that must
+        # stay untouched while their neighbours rotate (two isolated
+        # vertices make a pair with pq = 0 and equal diagonal entries)
+        rng = np.random.default_rng(8)
+        dense = rng.normal(size=(6, 6))
+        near = np.diag([5.0, 4.0, 3.0, 2.0, 1.0, 0.5]) + 1e-9 * (dense + dense.T)
+        stack = np.stack([
+            dense + dense.T, np.diag([3.0, -1.0, 0.0, 2.0, 2.0, 7.0]),
+            signless_laplacian(disjoint_union(complete(3), complete(3))),
+            signless_laplacian(disjoint_union(empty(2), cycle(4))),
+            np.zeros((6, 6)), near, signless_laplacian(path(6)), -0.0 * np.eye(6),
+        ])
+        got = jacobi_eigenvalues_batch(stack, conv_scale=conv_scale)
+        for m, row in zip(stack, got):
+            assert np.array_equal(row, jacobi_reference(m, conv_scale))
+        assert len({sweeps_to_converge(m, conv_scale) for m in stack}) >= 3
+
+    def test_batched_one_vertex_and_empty(self):
+        stack = np.array([[[2.5]], [[-1.0]], [[0.0]]])
+        got = jacobi_eigenvalues_batch(stack)
+        assert got.shape == (3, 1)
+        for m, row in zip(stack, got):
+            assert np.array_equal(row, jacobi_reference(m))
+        assert jacobi_eigenvalues_batch(np.zeros((0, 4, 4))).shape == (0, 4)
+
+    def test_batched_sweep_budget(self):
+        stack = np.stack([signless_laplacian(path(5)), signless_laplacian(cycle(5)),
+                          np.zeros((5, 5))])
+        with pytest.raises(EigensolverError):
+            jacobi_eigenvalues_batch(stack, max_sweeps=0)
+        # the budget binds on the slowest member, as it does in the scalar solver
+        need = max(sweeps_to_converge(m, JACOBI_CONV_SCALE) for m in stack)
+        with pytest.raises(EigensolverError):
+            jacobi_eigenvalues_batch(stack, max_sweeps=need - 1)
+        got = jacobi_eigenvalues_batch(stack, max_sweeps=need)
+        for m, row in zip(stack, got):
+            assert np.array_equal(row, jacobi_eigenvalues(m))
+        assert np.array_equal(jacobi_eigenvalues_batch(np.zeros((2, 3, 3)), max_sweeps=0),
+                              np.zeros((2, 3)))
+
+    def test_batched_rejects_bad_input(self):
+        stack = np.stack([signless_laplacian(path(4)), signless_laplacian(cycle(4))])
+        skew = stack.copy()
+        skew[1, 0, 1] = 2.0
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigenvalues_batch(skew)
+        nan = stack.copy()
+        nan[0, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigenvalues_batch(nan)
+        for shape in [(4, 4), (2, 3, 4)]:
+            with pytest.raises(ValueError, match="square"):
+                jacobi_eigenvalues_batch(np.zeros(shape))
+
+
+def sweeps_to_converge(m, conv_scale) -> int:
+    """The fewest sweeps within which conftest.jacobi_reference converges on m."""
+    for sweeps in range(JACOBI_MAX_SWEEPS + 1):
+        try:
+            jacobi_reference(m, conv_scale, max_sweeps=sweeps)
+        except EigensolverError:
+            continue
+        return sweeps
+    raise AssertionError("no convergence within the sweep budget")
 
 
 class TestZeroClassification:
