@@ -12,7 +12,9 @@ by column, and connectivity, of a graph or of the subgraph induced on a
 vertex set (the kappa sweep), is an in-place frontier sweep over a batch's
 columns.  The other kernels are batched signless Laplacian spectra and power
 sums, and upper bounds on the power sums from exact integer trace moments,
-which let a scan skip the eigensolve of graphs that cannot reach its report.
+which let a scan skip the eigensolve of graphs that cannot reach its report;
+the moments are int32 running sums, taken one vertex column and one column
+pair at a time.
 Results feed the search module; single-graph questions go through the
 ordinary Graph API instead.
 """
@@ -108,25 +110,38 @@ def moment_upper_bounds(rows: np.ndarray, n: int, alphas, bipartite: bool = Fals
     these moments the bound is their geometric interpolation (exact at a = 1,
     2, 3), and above 3 it is S_3 lambda_1^(a-3).  Triangles are counted only
     when some a > 2.  bipartite=True declares every graph connected and
-    bipartite: then t = 0, and exactly one eigenvalue is zero, so S_0 = n-1."""
-    deg = np.bitwise_count(rows).astype(np.int64)
-    m1 = np.sum(deg * deg, axis=1)
-    moments = [np.full(len(rows), n - 1 if bipartite else n), deg.sum(axis=1), m1 + deg.sum(axis=1)]
-    top = max(alphas)
-    if top > 2:
-        s3 = np.sum(deg ** 3, axis=1) + 3 * m1
-        lam = np.zeros(len(rows), dtype=np.int64)
-        if not bipartite or top > 3:
-            vbits = np.arange(n, dtype=rows.dtype)
-            for i in range(n):
-                nbr = (rows[:, i:i + 1] >> vbits) & 1
-                if not bipartite:  # sum over ordered edges ij of |N(i) & N(j)| is 6t
-                    s3 += np.sum(nbr * np.bitwise_count(rows[:, i:i + 1] & rows), axis=1)
-                if top > 3:
-                    lam = np.maximum(lam, np.max(nbr * (deg[:, i:i + 1] + deg), axis=1))
-        moments.append(s3)
+    bipartite: then t = 0, and exactly one eigenvalue is zero, so S_0 = n-1.
+
+    The moments are int32 running sums of length B, taken one vertex column
+    and then one column pair ij at a time (6t sums 2 |N(i) & N(j)| over the
+    edges ij), in place; K_62, the largest graph6 input, has S_3 < 1.5e7."""
+    size, top = len(rows), max(alphas)
+    deg = [np.bitwise_count(rows[:, v]) for v in range(n)]
+    s1, m1, s3, lam, tmp = (np.zeros(size, dtype=np.int32) for _ in range(5))
+    for d in deg:
+        s1 += d
+        np.multiply(d, d, out=tmp, dtype=np.int32)
+        m1 += tmp
+        tmp *= d + 3  # d^3 + 3 d^2
+        s3 += tmp
+    if top > 2 and (not bipartite or top > 3):
+        edge = np.empty(size, dtype=rows.dtype)
+        for i, j in combinations(range(n), 2):
+            np.right_shift(rows[:, i], j, out=edge)
+            edge &= 1  # 1 where ij is an edge
+            if top > 3:
+                np.add(deg[i], deg[j], out=tmp, dtype=np.int32)
+                tmp *= edge
+                np.maximum(lam, tmp, out=lam)
+            if not bipartite:
+                np.negative(edge, out=edge)  # all bits set where ij is an edge
+                edge &= rows[:, i]
+                edge &= rows[:, j]
+                np.multiply(np.bitwise_count(edge), 2, out=tmp, dtype=np.int32)
+                s3 += tmp
+    moments = [np.full(size, float(n - 1 if bipartite else n)), s1, m1 + s1, s3]
     moments = [np.asarray(m, dtype=np.float64) for m in moments]
-    out = np.empty((len(rows), len(alphas)))
+    out = np.empty((len(alphas), size)).T
     for c, a in enumerate(alphas):
         if a > 3:
             out[:, c] = moments[3] * lam.astype(np.float64) ** (a - 3)

@@ -39,13 +39,7 @@ def _st_vertex_flow(rows, n: int, s: int, t: int, limit: int):
     radj = [0] * n2
     for v in range(n):
         radj[v] = 1 << (v + n)
-        mv = rows[v]
-        out = 0
-        while mv:
-            u = (mv & -mv).bit_length() - 1
-            mv &= mv - 1
-            out |= 1 << u
-        radj[v + n] = out
+        radj[v + n] = rows[v]
     src = s + n
     snk = t
     flow = 0

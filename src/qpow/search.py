@@ -287,14 +287,16 @@ def _moment_screen(rows: np.ndarray, n: int, member: np.ndarray, alphas: list[fl
     b + tol_eq(b), so it is no candidate either.  The probed graphs are kept,
     and no graph is solved twice."""
     ub = _bulk.moment_upper_bounds(rows, n, alphas, bipartite)
-    cols = np.where(member[:, None, :], ub[:, :, None], -np.inf)
-    probe = np.unique(cols.argmax(axis=0))
+    cols = [(a, j) for a in range(len(alphas)) for j in range(member.shape[1])]
+    probe = np.unique([np.where(member[:, j], ub[:, a], -np.inf).argmax() for a, j in cols])
     eigs = np.empty((len(rows), n))
     eigs[probe] = _bulk.q_eigs(rows[probe], n)
     vals = np.stack([_bulk.power_sums(eigs[probe], alpha) for alpha in alphas], axis=1)
     best = np.where(member[probe][:, None, :], vals[:, :, None], -np.inf).max(axis=0)
     floor = np.minimum(best - np.vectorize(tol_eq, otypes=[float])(best), bvals)
-    keep = np.any(cols >= floor, axis=(1, 2))
+    keep = np.zeros(len(rows), dtype=bool)
+    for a, j in cols:  # every column has a member, so its floor is above -inf
+        keep |= (ub[:, a] >= floor[a, j]) & member[:, j]
     rest = keep.copy()
     keep[probe], rest[probe] = True, False
     eigs[rest] = _bulk.q_eigs(rows[rest], n)

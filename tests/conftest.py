@@ -6,7 +6,10 @@ solver), censuses come from naive per-code loops (the library enumerates with
 vectorized kernels), and odd cycles come from adjacency-matrix powers.  The
 Jacobi solver's earlier numpy-slice loop is kept as the bit-for-bit reference
 for its Python-float loop, and the scan evaluator's earlier per-(alpha, k)
-loop as the reference for its k-mask loop.  Vertex connectivity comes from an
+loop as the reference for its k-mask loop, and the moment screen's earlier
+(B, alpha, k) cube as the reference for its column-wise decision.  Trace
+moments of Q come from pure-Python integer matrix products (the library sums
+degree and common-neighbour counts).  Vertex connectivity comes from an
 exhaustive sweep over vertex subsets (the library runs max-flow), and the
 connectivity of induced subgraphs from breadth-first search (the library runs
 a batched bitmask sweep).
@@ -111,6 +114,40 @@ def evaluate_reference(acc, batches, branch_items, k_fixed):
                 acc.update_witness((n, k, branch, alpha), float(vsel[j]),
                                    int(codes[sel[j]]), maximize)
     return acc
+
+
+def moment_screen_reference(rows, n, member, alphas, bvals, bipartite):
+    """The moment screen as it was written on one (B, alpha, k) cube of
+    member-masked bounds, reduced with argmax and any over its last two axes.
+    search._moment_screen must return the same keep mask and eigenvalues."""
+    ub = _bulk.moment_upper_bounds(rows, n, alphas, bipartite)
+    cols = np.where(member[:, None, :], ub[:, :, None], -np.inf)
+    probe = np.unique(cols.argmax(axis=0))
+    eigs = np.empty((len(rows), n))
+    eigs[probe] = _bulk.q_eigs(rows[probe], n)
+    vals = np.stack([_bulk.power_sums(eigs[probe], alpha) for alpha in alphas], axis=1)
+    best = np.where(member[probe][:, None, :], vals[:, :, None], -np.inf).max(axis=0)
+    floor = np.minimum(best - np.vectorize(tol_eq, otypes=[float])(best), bvals)
+    keep = np.any(cols >= floor, axis=(1, 2))
+    rest = keep.copy()
+    keep[probe], rest[probe] = True, False
+    eigs[rest] = _bulk.q_eigs(rows[rest], n)
+    return keep, eigs[keep]
+
+
+def q_moments_oracle(rows) -> tuple[int, int, int, int]:
+    """(tr Q, tr Q^2, tr Q^3, max over edges ij of d_i + d_j, 0 without
+    edges) of one graph given by its per-vertex adjacency bitmasks, by exact
+    integer matrix products."""
+    n = len(rows)
+    q = [[int(rows[i]) >> j & 1 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        q[i][i] = sum(q[i])
+    q2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*q)] for row in q]
+    s3 = sum(q2[i][j] * q[j][i] for i in range(n) for j in range(n))
+    lam = max((q[i][i] + q[j][j] for i in range(n) for j in range(n) if i != j and q[i][j]),
+              default=0)
+    return sum(q[i][i] for i in range(n)), sum(q2[i][i] for i in range(n)), s3, lam
 
 
 def q_matrix_oracle(g: Graph) -> np.ndarray:

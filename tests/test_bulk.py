@@ -7,7 +7,7 @@ import pytest
 from qpow import _bulk
 from qpow.graphs import Graph, from_code
 
-from conftest import connected_population, induced_connected_bfs
+from conftest import connected_population, induced_connected_bfs, q_moments_oracle
 
 ALPHAS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 EXACT = [ALPHAS.index(a) for a in (1.0, 2.0, 3.0)]
@@ -54,6 +54,41 @@ class TestMomentUpperBounds:
         rows = np.array([[0b1110, 1, 1, 1]], dtype=np.int32)
         bounds = _bulk.moment_upper_bounds(rows, 4, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0], bipartite=True)
         np.testing.assert_allclose(bounds[0], [3 ** 0.5 * 6 ** 0.5, 6, 18, 66, 264, 1056], rtol=1e-12)
+
+
+def assert_exact_moments(rows, n, bipartite=False):
+    # at a = 1, 2, 3 and 4 the bounds are S_1, S_2, S_3 and S_3 lambda with
+    # exponents 0 and 1, so they equal the integer moments exactly
+    got = _bulk.moment_upper_bounds(rows, n, [1.0, 2.0, 3.0, 4.0], bipartite)
+    want = [(s1, s2, s3, s3 * lam) for s1, s2, s3, lam in map(q_moments_oracle, rows.tolist())]
+    assert got.tolist() == [list(map(float, w)) for w in want], n
+
+
+class TestExactMoments:
+    """The int32 column sums give the trace moments of Q exactly."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_connected_graph(self, n):
+        assert_exact_moments(_bulk.decode_rows(connected_population(n)[0], n), n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_bipartite_split(self, n):
+        for amask in _bulk.bipartite_splits(n):
+            for chunk in _bulk.split_connected_codes(n, amask):
+                assert_exact_moments(chunk.rows, n, bipartite=True)
+
+    @pytest.mark.parametrize("n", [9, 17, 33, 62])
+    def test_stream_batch_up_to_k62(self, rng, n):
+        # int64 rows as a graph6 stream gives them; K_n has the largest moments
+        graphs = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])]
+        graphs += [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+                   for p in (0.1, 0.5, 0.9, 0.99)]
+        rows = np.array([g.rows for g in graphs], dtype=np.int64)
+        assert_exact_moments(rows, n)
+        # Q(K_n) has spectrum 2n-2 once and n-2 n-1 times
+        s = [(2 * n - 2) ** p + (n - 1) * (n - 2) ** p for p in (1, 2, 3)]
+        got = _bulk.moment_upper_bounds(rows[:1], n, [1.0, 2.0, 3.0, 4.0])
+        assert got[0].tolist() == [*s, s[2] * (2 * n - 2)]
 
 
 class TestSplitChunks:

@@ -22,7 +22,12 @@ from qpow.spectra import jacobi_eigenvalues_batch, q_spectrum, signless_laplacia
 from qpow.verify import matches_extremal, tol_eq
 
 import conftest
-from conftest import connected_graphs_naive, connected_population, evaluate_reference
+from conftest import (
+    connected_graphs_naive,
+    connected_population,
+    evaluate_reference,
+    moment_screen_reference,
+)
 
 
 class TestEnumerate:
@@ -736,6 +741,52 @@ class TestMomentScreen:
         assert solved == new.count == 728
 
 
+def screen_inputs(units, bound_id, alphas, k_fixed=None):
+    """The arguments of search._moment_screen for every chunk of the units,
+    built as _evaluate builds them."""
+    branch_items = tuple(sorted(search._resolve_grid(bound_id, alphas).items()))
+    alphas = [alpha for alpha, _ in branch_items]
+    bipartite = BOUNDS[branch_items[0][1]].family == "bipartite"
+    for codes, rows, kappas, r in chain.from_iterable(units):
+        n = rows.shape[1]
+        ks = [None] if kappas is None else list(range(1, n)) if k_fixed is None else [k_fixed]
+        member = np.ones((len(codes), 1), bool) if kappas is None else kappas[:, None] <= ks
+        live = member.any(axis=0)
+        ks, member = [k for k, keep in zip(ks, live) if keep], member[:, live]
+        if ks:
+            bvals = np.array([[search._scalar_bound(branch, alpha, n, k, r=r) for k in ks]
+                              for alpha, branch in branch_items])
+            yield rows, n, member, alphas, bvals, bipartite
+
+
+class TestScreenDecision:
+    """The column-wise screen keeps the same graphs, and solves them to the
+    same eigenvalues, as the (B, alpha, k) cube it replaced."""
+
+    def assert_same_screen(self, cases):
+        columns = []
+        for args in cases:
+            keep, eigs = search._moment_screen(*args)
+            ref_keep, ref_eigs = moment_screen_reference(*args)
+            assert keep.dtype == bool and np.array_equal(keep, ref_keep)
+            assert np.array_equal(eigs, ref_eigs)
+            columns.append(args[2].shape[1])
+        return columns
+
+    @pytest.mark.parametrize("alphas", [[1.5, 2, 3], [4, 5]])
+    def test_conj31_chunks(self, alphas):
+        columns = self.assert_same_screen(
+            screen_inputs(search._internal_units(range(2, 8), "bipartite"), "conj31", alphas))
+        assert len(columns) == sum(len(_bulk.bipartite_splits(n)) for n in range(2, 8))
+
+    @pytest.mark.parametrize("bound_id,alphas", [("conj44", [0.25, 0.5, 0.75]),
+                                                 ("thm43", [1, 1.5, 2.5, 4])])
+    def test_kappa_chunks(self, bound_id, alphas):
+        columns = self.assert_same_screen(
+            screen_inputs(search._internal_units(range(2, 7), "kappa"), bound_id, alphas))
+        assert max(columns) == 5  # k = 1..5 at n = 6
+
+
 class TestWitnessEncoding:
     def test_one_string_per_witness_graph(self, monkeypatch):
         calls = []
@@ -825,6 +876,14 @@ class TestBenchHooks:
             "print(t.counts['bulk.enum.codes'], t.counts['bulk.enum.kept'])\n"
         )
         assert (codes, kept) == (9966, 1 + 3 + 19 + 195 + 3031)
+
+    def test_traced_conj31_scan_solves_few_matrices(self):
+        # the moment screen sends 120 of the 70,512 graphs to LAPACK
+        matrices, kept = run_traced(
+            "search.scan('conj31', range(2, 8), [1.5, 2, 3], threads=1)\n"
+            "print(t.counts['bulk.q_eigs.matrices'], t.counts['bulk.enum.kept'])\n"
+        )
+        assert (matrices, kept) == (120, 70512)
 
     def test_traced_scan_counts_scalar_bound(self):
         scalar, connectivity, scans = run_traced(
