@@ -5,16 +5,19 @@ graph6 order).  Every population, internal or streamed, arrives as one batch
 type, Chunk, from its source to the scan report: the codes, their per-vertex
 adjacency bitmasks of shape (B, n), for the kappa family the connectivities,
 and for a bipartite split vertex 0's part size.  An internal chunk holds at
-most CHUNK graphs, which caps the memory of one batch.  Each graph is decoded
-once, by the filter that enumerates it or from one cache, which holds the
-codes and kappas of the connected graphs for n <= 7.  Rows are built column
-by column, and connectivity, of a graph or of the subgraph induced on a
-vertex set (the kappa sweep), is an in-place frontier sweep over a batch's
-columns.  The other kernels are batched signless Laplacian spectra and power
-sums, and upper bounds on the power sums from exact integer trace moments,
-which let a scan skip the eigensolve of graphs that cannot reach its report;
-the moments are int32 running sums, taken one vertex column and one column
-pair at a time.
+most CHUNK graphs, which caps the memory of one batch.  A connected or kappa
+population's graph is decoded once, by the filter that enumerates it or from
+one cache, which holds the codes and kappas of the connected graphs for
+n <= 7.  A bipartite split's graphs are gathered instead: their codes and
+rows from two half-size subset tables of the split's cross edges, and their
+connectivity from one cached table per part-size pair (|A|, |B|).  Rows are
+built column by column, and connectivity, of a graph or of the subgraph
+induced on a vertex set (the kappa sweep), is an in-place frontier sweep over
+a batch's columns.  The other kernels are batched signless Laplacian spectra
+and power sums, and upper bounds on the power sums from exact integer trace
+moments, which let a scan skip the eigensolve of graphs that cannot reach its
+report; the moments are int32 running sums, taken one vertex column and one
+column pair at a time.
 Results feed the search module; single-graph questions go through the
 ordinary Graph API instead.
 """
@@ -32,6 +35,7 @@ from .spectra import ZERO_THRESHOLD_SCALE
 CHUNK = 1 << 18
 
 _connected_cache: dict[int, Chunk] = {}  # n -> codes and kappas, rows None
+_split_cache: dict[tuple[int, int], np.ndarray] = {}  # (|A|, |B|) -> _split_connected
 
 
 def _rows(bits: np.ndarray, n: int, edges) -> np.ndarray:
@@ -240,26 +244,84 @@ def bipartite_splits(n: int) -> list[int]:
     return [a for a in range(1, full, 2) if a != full]
 
 
+def _cross_edges(n: int, amask: int) -> list[tuple[int, int, int]]:
+    """(p, i, j) for each edge ij between A = amask and its complement, with p
+    its bit in the edge code; graph6 pair order."""
+    return [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
+            if ((amask >> i) ^ (amask >> j)) & 1]
+
+
+def _subset_table(weights: np.ndarray) -> np.ndarray:
+    """Column x is the OR of the rows of weights at the set bits of x, shape
+    (weights.shape[1], 2**len(weights)), built by doubling: one operation per
+    weight row."""
+    table = np.zeros((weights.shape[1], 1 << len(weights)), dtype=np.int64)
+    for k, w in enumerate(weights):
+        np.bitwise_or(table[:, :1 << k], w[:, None], out=table[:, 1 << k:2 << k])
+    return table
+
+
+def _split_connected(r: int, s: int) -> np.ndarray:
+    """Connectivity of each graph of the canonical split A = {0..r-1}, B =
+    {r..r+s-1}, by its index among the subsets of the split's cross edges.
+
+    Connectivity does not change under relabeling, so one table serves every
+    split with |A| = r and |B| = s.  It is built once per process (and after
+    clear_caches) with _rows and connected_mask, CHUNK graphs at a time, and
+    cached; the largest at the n = 9 cap is K_{4,5}'s, 2**20 bools (1 MiB)."""
+    keep = _split_cache.get((r, s))
+    if keep is None:
+        n = r + s
+        edges = [(t, i, j) for t, (_, i, j) in enumerate(_cross_edges(n, (1 << r) - 1))]
+        total = 1 << len(edges)
+        keep = np.concatenate([
+            connected_mask(_rows(np.arange(lo, min(lo + CHUNK, total), dtype=np.int64), n, edges), n)
+            for lo in range(0, total, CHUNK)])
+        _split_cache[r, s] = keep
+    return keep
+
+
 def split_connected_codes(n: int, amask: int):
     """Yield Chunks of the connected bipartite graphs whose unique
     bipartition is exactly {A, complement}; over all splits this enumerates
-    every labeled connected bipartite graph exactly once.  Rows are built from
-    each graph's index among the subsets of the cross edges, and codes only
-    for the connected ones, so no graph is decoded.  Each chunk's r is |A|."""
-    cross = [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
-             if ((amask >> i) ^ (amask >> j)) & 1]
-    total = 1 << len(cross)
-    for lo in range(0, total, CHUNK):
-        local = np.arange(lo, min(lo + CHUNK, total), dtype=np.int64)
-        rows = _rows(local, n, [(lbit, i, j) for lbit, (_, i, j) in enumerate(cross)])
-        keep = connected_mask(rows, n)
-        if np.any(keep):
-            local = local[keep]
-            codes = np.zeros(local.size, dtype=np.int64)
-            for lbit, (p, _, _) in enumerate(cross):
-                codes |= ((local >> lbit) & 1) << p
-            yield Chunk(codes, rows[keep], r=amask.bit_count())
+    every labeled connected bipartite graph exactly once, each chunk the
+    connected graphs among CHUNK consecutive subsets x of the cross edges, in
+    ascending x.  Each chunk's r is |A|.
+
+    A graph's edge code, its adjacency rows and its index x' among the cross
+    edge subsets of the canonical split (A relabeled onto 0..r-1, each part
+    in order) are ORs over the edges in x.  So each is high[x >> b] | low[x &
+    (2**b - 1)], from two subset tables of at most 2**9 columns, and a graph
+    is kept when _split_connected(r, n - r)[x'] holds: no graph is decoded
+    and no frontier sweep runs per split.  Above 18 cross edges (n = 9), each
+    chunk's high table carries the weights of the bits fixed in the chunk.
+    Rows come out F-ordered (column-contiguous), int32."""
+    cross = _cross_edges(n, amask)
+    r = amask.bit_count()
+    order = sorted(range(n), key=lambda v: not amask >> v & 1)  # A, then B
+    label = {v: k for k, v in enumerate(order)}
+    canonical = {(i, j): t for t, (_, i, j) in enumerate(_cross_edges(n, (1 << r) - 1))}
+    weights = np.zeros((len(cross), n + 2), dtype=np.int64)  # code, n rows, x'
+    for s, (p, i, j) in enumerate(cross):
+        t = canonical[tuple(sorted((label[i], label[j])))]
+        weights[s, [0, 1 + i, 1 + j, n + 1]] = 1 << p, 1 << j, 1 << i, 1 << t
+    bits = min(len(cross), CHUNK.bit_length() - 1)  # the bits of x within a chunk
+    b = bits // 2
+    low, high = _subset_table(weights[:b]), _subset_table(weights[b:bits])
+    connected = _split_connected(r, n - r)
+    low_rows = low[1:-1].astype(np.int32)
+    for fixed in _subset_table(weights[bits:]).T:  # the bits of each chunk's first x
+        top = high | fixed[:, None]
+        top_rows = top[1:-1].astype(np.int32)
+        kept = np.flatnonzero(connected[(top[-1][:, None] | low[-1]).ravel()])
+        if kept.size:
+            hx, lx = kept >> b, kept & ((1 << b) - 1)
+            rows = np.empty((n, kept.size), dtype=np.int32)
+            for v in range(n):
+                np.bitwise_or(top_rows[v][hx], low_rows[v][lx], out=rows[v])
+            yield Chunk(top[0, hx] | low[0, lx], rows.T, r=r)
 
 
 def clear_caches() -> None:
     _connected_cache.clear()
+    _split_cache.clear()

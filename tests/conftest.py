@@ -12,7 +12,9 @@ moments of Q come from pure-Python integer matrix products (the library sums
 degree and common-neighbour counts).  Vertex connectivity comes from an
 exhaustive sweep over vertex subsets (the library runs max-flow), and the
 connectivity of induced subgraphs from breadth-first search (the library runs
-a batched bitmask sweep).
+a batched bitmask sweep).  The bipartite split enumerator's earlier per-bit
+builder (rows per cross edge, a frontier sweep per split, codes per cross
+edge) is the bit-for-bit reference for its subset-table gathers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import pytest
 
 from qpow import _bulk
 from qpow.bounds import BOUNDS
-from qpow.graphs import Graph, from_code
+from qpow.graphs import Graph, _pair_positions, from_code
 from qpow.search import _scalar_bound
 from qpow.spectra import (
     JACOBI_CONV_SCALE,
@@ -276,6 +278,25 @@ def connected_population(n: int, need_kappa: bool = False):
         codes.append(chunk.codes)
         kappas.append(chunk.kappas)
     return np.concatenate(codes), np.concatenate(kappas) if need_kappa else None
+
+
+def split_chunks_reference(n: int, amask: int):
+    """The Chunks of _bulk.split_connected_codes(n, amask), built bit by bit:
+    the rows of every subset of the cross edges, a frontier sweep over them,
+    and the codes of the connected ones, one cross edge at a time."""
+    cross = [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
+             if ((amask >> i) ^ (amask >> j)) & 1]
+    total = 1 << len(cross)
+    for lo in range(0, total, _bulk.CHUNK):
+        local = np.arange(lo, min(lo + _bulk.CHUNK, total), dtype=np.int64)
+        rows = _bulk._rows(local, n, [(lbit, i, j) for lbit, (_, i, j) in enumerate(cross)])
+        keep = _bulk.connected_mask(rows, n)
+        if np.any(keep):
+            local = local[keep]
+            codes = np.zeros(local.size, dtype=np.int64)
+            for lbit, (p, _, _) in enumerate(cross):
+                codes |= ((local >> lbit) & 1) << p
+            yield _bulk.Chunk(codes, rows[keep], r=amask.bit_count())
 
 
 def all_graphs(n: int):

@@ -7,7 +7,12 @@ import pytest
 from qpow import _bulk
 from qpow.graphs import Graph, from_code
 
-from conftest import connected_population, induced_connected_bfs, q_moments_oracle
+from conftest import (
+    connected_population,
+    induced_connected_bfs,
+    q_moments_oracle,
+    split_chunks_reference,
+)
 
 ALPHAS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 EXACT = [ALPHAS.index(a) for a in (1.0, 2.0, 3.0)]
@@ -103,6 +108,44 @@ class TestSplitChunks:
                 np.testing.assert_array_equal(rows, _bulk.decode_rows(codes, n))
                 total += chunk.size
         assert total == [1, 1, 3, 19, 195, 3031][n - 1]
+
+    @staticmethod
+    def assert_matches_reference(n, amask):
+        got = list(_bulk.split_connected_codes(n, amask))
+        want = list(split_chunks_reference(n, amask))
+        assert [c.size for c in got] == [c.size for c in want], (n, amask)
+        for chunk, ref in zip(got, want):
+            assert chunk.codes.dtype == np.int64
+            np.testing.assert_array_equal(chunk.codes, ref.codes)
+            assert chunk.rows.dtype == np.int32 and chunk.rows.flags.f_contiguous
+            np.testing.assert_array_equal(chunk.rows, ref.rows)
+            assert chunk.kappas is None and chunk.r == ref.r == amask.bit_count()
+        return len(got)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_split_matches_reference(self, n):
+        for amask in _bulk.bipartite_splits(n):
+            self.assert_matches_reference(n, amask)
+
+    @pytest.mark.parametrize("amask", [0b000001111, 0b101010101, 0b110000011, 0b1, 0b011111111])
+    def test_n9_splits_match_reference(self, amask):
+        # |A| = 4 or 5 has 20 cross edges, four CHUNKs whose high tables
+        # carry the fixed bits of the chunk's first subset
+        chunks = self.assert_matches_reference(9, amask)
+        assert chunks == (4 if amask.bit_count() in (4, 5) else 1)
+
+    def test_clear_caches_empties_split_tables(self, monkeypatch):
+        monkeypatch.setattr(_bulk, "_connected_cache", {})
+        monkeypatch.setattr(_bulk, "_split_cache", {})
+        for amask in _bulk.bipartite_splits(5):
+            for _ in _bulk.split_connected_codes(5, amask):
+                pass
+        assert set(_bulk._split_cache) == {(r, 5 - r) for r in range(1, 5)}
+        for (r, s), keep in _bulk._split_cache.items():
+            assert keep.dtype == bool and keep.size == 1 << (r * s)
+            assert keep.sum() == sum(c.size for c in split_chunks_reference(5, (1 << r) - 1))
+        _bulk.clear_caches()
+        assert _bulk._split_cache == {}
 
 
 class TestDecodeRows:

@@ -857,6 +857,26 @@ class TestConnectedCache:
             np.testing.assert_array_equal(chunk.kappas, _bulk.kappa_batch(chunk.rows, 5))
 
 
+class TestSplitCache:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_warm_tables_give_cold_bytes(self, monkeypatch, threads):
+        # fork workers inherit the parent's tables when it holds them and
+        # build their own when it does not
+        monkeypatch.setattr(_bulk, "_connected_cache", {})
+        monkeypatch.setattr(_bulk, "_split_cache", {})
+        shapes = {(r, n - r) for n in range(2, 8) for r in range(1, n)}
+        _bulk.clear_caches()
+        cold = scan("conj31", range(2, 8), [1.5, 2, 3], threads=threads).to_json(redact_timing=True)
+        assert set(_bulk._split_cache) == (shapes if threads == 1 else set())
+        for n in range(2, 8):
+            for amask in _bulk.bipartite_splits(n):
+                for _ in _bulk.split_connected_codes(n, amask):
+                    pass
+        assert set(_bulk._split_cache) == shapes
+        warm = scan("conj31", range(2, 8), [1.5, 2, 3], threads=threads).to_json(redact_timing=True)
+        assert warm == cold
+
+
 class TestBenchHooks:
     def test_traced_kappa_scan_decodes_once(self):
         # one decode per n, by the connectivity filter; the kappa sweep and
