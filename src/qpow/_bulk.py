@@ -10,14 +10,16 @@ population's graph is decoded once, by the filter that enumerates it or from
 one cache, which holds the codes and kappas of the connected graphs for
 n <= 7.  A bipartite split's graphs are gathered instead: their codes and
 rows from two half-size subset tables of the split's cross edges, and their
-connectivity from one cached table per part-size pair (|A|, |B|).  Rows are
-built column by column, and connectivity, of a graph or of the subgraph
-induced on a vertex set (the kappa sweep), is an in-place frontier sweep over
-a batch's columns.  The other kernels are batched signless Laplacian spectra
-and power sums, and upper bounds on the power sums from exact integer trace
-moments, which let a scan skip the eigensolve of graphs that cannot reach its
-report; the moments are int32 running sums, taken one vertex column and one
-column pair at a time.
+connectivity from one cached table per part-size pair (|A|, |B|); the same
+edge weights relabel chosen graphs of the canonical split onto any split of
+its shape (split_relabelings).  Rows are built column by column, and
+connectivity, of a graph or of the subgraph induced on a vertex set (the
+kappa sweep), is an in-place frontier sweep over a batch's columns.  The
+other kernels are batched signless Laplacian spectra and power sums, and
+upper bounds on the power sums from exact integer trace moments, which let a
+scan skip the eigensolve of graphs that cannot reach its report; the moments
+are int32 running sums, taken one vertex column and one column pair at a
+time.
 Results feed the search module; single-graph questions go through the
 ordinary Graph API instead.
 """
@@ -281,21 +283,13 @@ def _split_connected(r: int, s: int) -> np.ndarray:
     return keep
 
 
-def split_connected_codes(n: int, amask: int):
-    """Yield Chunks of the connected bipartite graphs whose unique
-    bipartition is exactly {A, complement}; over all splits this enumerates
-    every labeled connected bipartite graph exactly once, each chunk the
-    connected graphs among CHUNK consecutive subsets x of the cross edges, in
-    ascending x.  Each chunk's r is |A|.
-
-    A graph's edge code, its adjacency rows and its index x' among the cross
-    edge subsets of the canonical split (A relabeled onto 0..r-1, each part
-    in order) are ORs over the edges in x.  So each is high[x >> b] | low[x &
-    (2**b - 1)], from two subset tables of at most 2**9 columns, and a graph
-    is kept when _split_connected(r, n - r)[x'] holds: no graph is decoded
-    and no frontier sweep runs per split.  Above 18 cross edges (n = 9), each
-    chunk's high table carries the weights of the bits fixed in the chunk.
-    Rows come out F-ordered (column-contiguous), int32."""
+def _split_weights(n: int, amask: int) -> np.ndarray:
+    """(c, n + 2) int64: for each cross edge s of the split, in graph6 order,
+    its bit in the edge code, its bits in the n adjacency rows, and its bit
+    in x', the index among the cross-edge subsets of the canonical split
+    A = {0..r-1} (A relabeled onto 0..r-1 and B after it, each part in order).
+    A graph of the split with cross-edge subset x has the OR of the rows at
+    the set bits of x for its code, rows and x'."""
     cross = _cross_edges(n, amask)
     r = amask.bit_count()
     order = sorted(range(n), key=lambda v: not amask >> v & 1)  # A, then B
@@ -305,7 +299,26 @@ def split_connected_codes(n: int, amask: int):
     for s, (p, i, j) in enumerate(cross):
         t = canonical[tuple(sorted((label[i], label[j])))]
         weights[s, [0, 1 + i, 1 + j, n + 1]] = 1 << p, 1 << j, 1 << i, 1 << t
-    bits = min(len(cross), CHUNK.bit_length() - 1)  # the bits of x within a chunk
+    return weights
+
+
+def split_connected_codes(n: int, amask: int):
+    """Yield Chunks of the connected bipartite graphs whose unique
+    bipartition is exactly {A, complement}; over all splits this enumerates
+    every labeled connected bipartite graph exactly once, each chunk the
+    connected graphs among CHUNK consecutive subsets x of the cross edges, in
+    ascending x.  Each chunk's r is |A|.
+
+    A graph's edge code, its adjacency rows and its canonical index x' are
+    ORs over the edges in x (_split_weights).  So each is high[x >> b] |
+    low[x & (2**b - 1)], from two subset tables of at most 2**9 columns, and
+    a graph is kept when _split_connected(r, n - r)[x'] holds: no graph is
+    decoded and no frontier sweep runs per split.  Above 18 cross edges
+    (n = 9), each chunk's high table carries the weights of the bits fixed in
+    the chunk.  Rows come out F-ordered (column-contiguous), int32."""
+    weights = _split_weights(n, amask)
+    r = amask.bit_count()
+    bits = min(len(weights), CHUNK.bit_length() - 1)  # the bits of x within a chunk
     b = bits // 2
     low, high = _subset_table(weights[:b]), _subset_table(weights[b:bits])
     connected = _split_connected(r, n - r)
@@ -320,6 +333,22 @@ def split_connected_codes(n: int, amask: int):
             for v in range(n):
                 np.bitwise_or(top_rows[v][hx], low_rows[v][lx], out=rows[v])
             yield Chunk(top[0, hx] | low[0, lx], rows.T, r=r)
+
+
+def split_relabelings(n: int, amask: int, canonical: np.ndarray) -> Chunk:
+    """One Chunk of the graphs of the split amask whose canonical indices x'
+    are `canonical`: the relabelings onto the split of those graphs of the
+    canonical split, in ascending x (the order of split_connected_codes),
+    with r = |A|.  x' to x is a permutation of the cross-edge bits, and a
+    graph's code and rows are sums over its edges of their disjoint bits, so
+    both are matrix products with _split_weights."""
+    weights = _split_weights(n, amask)
+    edges = np.arange(len(weights))
+    # bit s of x is bit shifts[s] of x'
+    shifts = np.array([int(w).bit_length() - 1 for w in weights[:, -1]], dtype=np.int64)
+    x = np.sort(((np.asarray(canonical, dtype=np.int64)[:, None] >> shifts) & 1) @ (1 << edges))
+    graphs = ((x[:, None] >> edges) & 1) @ weights[:, :-1]
+    return Chunk(graphs[:, 0], graphs[:, 1:].astype(np.int32), r=amask.bit_count())
 
 
 def clear_caches() -> None:

@@ -13,7 +13,10 @@ that loop decides every k of a batch from one kappa <= k mask and its cost
 per batch grows with the alpha grid, not with alpha x k.  On a grid of upper
 bounds only, a screen of exact trace-moment bounds sends to LAPACK just the
 graphs that can still be a witness or a candidate, so an upper-bound scan
-solves a few graphs per batch and leaves the report unchanged.
+solves a few graphs per batch and leaves the report unchanged.  On the
+internal bipartite population that screen runs once per part-size shape, on
+the canonical split, and every split of the shape solves only the
+relabelings of its survivors (_evaluate_splits, one unit per n).
 Re-verification computes the slow facts once per distinct candidate graph
 and then checks each candidate record against its graph's facts in canonical
 order.  The candidate graphs of one n get their Jacobi spectra from one
@@ -63,10 +66,17 @@ def _round12(x):
 
 
 class _JsonRecord:
-    """A record's JSON object: its fields in order, numbers through _round12."""
+    """A record's JSON object: its fields in order, the float ones through
+    _round12 (the others pass through it unchanged, so they skip it)."""
+
+    def __init_subclass__(cls):
+        cls._floats = tuple(key for key, kind in cls.__annotations__.items() if kind == "float")
 
     def to_json_dict(self) -> dict:
-        return {key: _round12(v) for key, v in vars(self).items()}
+        doc = vars(self).copy()
+        for key in self._floats:
+            doc[key] = _round12(doc[key])
+        return doc
 
 
 @dataclass(frozen=True)
@@ -273,6 +283,12 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str, family: str) -> It
         yield flush(n)
 
 
+def _upper_only(branch_items) -> bool:
+    """Whether every branch of the grid is an upper bound (so every alpha > 0):
+    the grids on which the moment screen runs."""
+    return all(BOUNDS[branch].direction == "upper" for _, branch in branch_items)
+
+
 def _moment_screen(rows: np.ndarray, n: int, member: np.ndarray, alphas: list[float],
                    bvals: np.ndarray, bipartite: bool) -> tuple[np.ndarray, np.ndarray]:
     """(keep, eigs): the mask of the batch graphs that can be a witness or a
@@ -288,7 +304,9 @@ def _moment_screen(rows: np.ndarray, n: int, member: np.ndarray, alphas: list[fl
     and no graph is solved twice."""
     ub = _bulk.moment_upper_bounds(rows, n, alphas, bipartite)
     cols = [(a, j) for a in range(len(alphas)) for j in range(member.shape[1])]
-    probe = np.unique([np.where(member[:, j], ub[:, a], -np.inf).argmax() for a, j in cols])
+    full = member.all(axis=0)  # every graph is a member (every non-kappa population)
+    probe = np.unique([ub[:, a].argmax() if full[j] else
+                       np.where(member[:, j], ub[:, a], -np.inf).argmax() for a, j in cols])
     eigs = np.empty((len(rows), n))
     eigs[probe] = _bulk.q_eigs(rows[probe], n)
     vals = np.stack([_bulk.power_sums(eigs[probe], alpha) for alpha in alphas], axis=1)
@@ -303,19 +321,36 @@ def _moment_screen(rows: np.ndarray, n: int, member: np.ndarray, alphas: list[fl
     return keep, eigs[keep]
 
 
+def _tally(acc: _Accumulator, n: int, codes, member: np.ndarray, ks: list, eigs: np.ndarray,
+           bvals: np.ndarray, branch_items) -> None:
+    """Power sums, margins, raw candidate violations and extremal witnesses of
+    solved graphs.  Each alpha costs one nonzero over the (graph, k) members
+    for the candidates and one masked argmax/argmin for the witnesses, so
+    ties keep the first graph."""
+    for (alpha, branch), brow in zip(branch_items, bvals):
+        maximize = BOUNDS[branch].direction == "upper"
+        vals = _bulk.power_sums(eigs, alpha)
+        tols = np.array([tol_eq(b) for b in brow.tolist()])
+        margins = brow - vals[:, None] if maximize else vals[:, None] - brow
+        for i, j in zip(*np.nonzero(member & (margins < -tols))):
+            acc.raw.append((n, int(codes[i]), ks[j], alpha, branch,
+                            float(vals[i]), float(brow[j])))
+        filled = np.where(member, vals[:, None], -np.inf if maximize else np.inf)
+        best = filled.argmax(axis=0) if maximize else filled.argmin(axis=0)
+        for k, i in zip(ks, best.tolist()):
+            acc.update_witness((n, k, branch, alpha), float(vals[i]), int(codes[i]), maximize)
+
+
 def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) -> _Accumulator:
-    """The one evaluation loop: batched LAPACK spectra, power sums, margins,
-    raw candidate violations and extremal witnesses.  Returns acc, so the
-    scan pool can run it on a unit.
+    """The evaluation loop over Chunks: batched LAPACK spectra, then _tally.
+    Returns acc, so the scan pool can run it on a unit.
 
     One mask member[i, j] = kappa_i <= ks[j] per batch decides every k (one
-    all-true column without kappa).  Each alpha costs one bound row over the
-    ks with members, one nonzero for the candidates and one masked
-    argmax/argmin for the witnesses, so ties keep the first graph.  When
-    every branch is an upper bound (so every alpha > 0), the moment screen
-    first drops the graphs that cannot change the result, and only the rest,
-    in batch order, reach the eigensolver; the count still covers the batch."""
-    screen = all(BOUNDS[branch].direction == "upper" for _, branch in branch_items)
+    all-true column without kappa), and each alpha costs one bound row over
+    the ks with members.  On an upper-only grid the moment screen first
+    drops the graphs that cannot change the result, and only the rest, in
+    batch order, reach the eigensolver; the count still covers the batch."""
+    screen = _upper_only(branch_items)
     alphas = [alpha for alpha, _ in branch_items]
     bipartite = BOUNDS[branch_items[0][1]].family == "bipartite"
     for codes, rows, kappas, r in batches:
@@ -334,18 +369,49 @@ def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) 
             codes, member = codes[keep], member[keep]
         else:
             eigs = _bulk.q_eigs(rows, n)
-        for (alpha, branch), brow in zip(branch_items, bvals):
-            maximize = BOUNDS[branch].direction == "upper"
-            vals = _bulk.power_sums(eigs, alpha)
-            tols = np.array([tol_eq(b) for b in brow.tolist()])
-            margins = brow - vals[:, None] if maximize else vals[:, None] - brow
-            for i, j in zip(*np.nonzero(member & (margins < -tols))):
-                acc.raw.append((n, int(codes[i]), ks[j], alpha, branch,
-                                float(vals[i]), float(brow[j])))
-            filled = np.where(member, vals[:, None], -np.inf if maximize else np.inf)
-            best = filled.argmax(axis=0) if maximize else filled.argmin(axis=0)
-            for k, i in zip(ks, best.tolist()):
-                acc.update_witness((n, k, branch, alpha), float(vals[i]), int(codes[i]), maximize)
+        _tally(acc, n, codes, member, ks, eigs, bvals, branch_items)
+    return acc
+
+
+def _shape_survivors(n: int, r: int, branch_items) -> tuple[np.ndarray, np.ndarray, int]:
+    """(survivors, bvals, count) for the splits of n with |A| = r: the
+    canonical indices (ascending) of the graphs that _moment_screen keeps on
+    the chunks of the canonical split A = {0..r-1}, the bound of each alpha,
+    and the number of connected graphs of one split."""
+    alphas = [alpha for alpha, _ in branch_items]
+    bvals = np.array([[_scalar_bound(branch, alpha, n, None, r=r)]
+                      for alpha, branch in branch_items])
+    keeps = [_moment_screen(rows, n, np.ones((len(rows), 1), bool), alphas, bvals, True)[0]
+             for _, rows, _, _ in _bulk.split_connected_codes(n, (1 << r) - 1)]
+    # the canonical split's chunks hold its connected graphs in ascending x = x'
+    connected = np.flatnonzero(_bulk._split_connected(r, n - r))
+    return connected[np.concatenate(keeps)], bvals, connected.size
+
+
+def _evaluate_splits(acc: _Accumulator, n: int, branch_items,
+                     k_fixed: Optional[int] = None) -> _Accumulator:
+    """What _evaluate gives on every split of n under an upper-only
+    bipartite grid, with one moment screen per part-size shape instead of
+    one per split; the scan pool runs it on n (k_fixed is always None).
+
+    Every split with |A| = r holds the canonical split's graphs relabeled,
+    and neither the screen's integer trace moments nor the bounds (a function
+    of n and r) change under relabeling.  So _shape_survivors screens the
+    canonical split once per r, and each split, in ascending order, solves
+    the Chunk of its relabeled survivors (split_relabelings, in enumeration
+    order) unscreened; its count is that of the shape's connectivity table.
+    A dropped graph's relabeling stays below the relabeled probe, solved in
+    the same split, and below the bound, so it is neither a witness nor a
+    candidate, and ties break in enumeration order as before.  The survivors
+    live for this call only: they depend on the grid."""
+    shapes = {r: _shape_survivors(n, r, branch_items) for r in range(1, n)}
+    for amask in _bulk.bipartite_splits(n):
+        r = amask.bit_count()
+        survivors, bvals, count = shapes[r]
+        codes, rows, _, _ = _bulk.split_relabelings(n, amask, survivors)
+        acc.count += count
+        _tally(acc, n, codes, np.ones((len(codes), 1), bool), [None], _bulk.q_eigs(rows, n),
+               bvals, branch_items)
     return acc
 
 
@@ -454,8 +520,11 @@ def scan(
     _check_k(bound_id, family, k)
     branch_items = tuple(sorted(branch_map.items()))
     live = _live_ns(ns, k)
+    evaluate = _evaluate
     if source is None:
         units = _internal_units(sorted(live), family)
+        if family == "bipartite" and _upper_only(branch_items):  # one unit per n
+            units, evaluate = sorted(live), _evaluate_splits
     else:  # one unit, so it runs in this process
         units = [_stream_batches(read_stream(source, strict=strict, on_error=on_error),
                                  live, branch_items[0][1], family)]
@@ -464,9 +533,9 @@ def scan(
     # fork may follow numpy's BLAS threads; workers' _bulk cache fills stay there
     if nworkers > 1:
         with multiprocessing.get_context("fork").Pool(nworkers) as pool:
-            parts = pool.starmap(_evaluate, jobs)
+            parts = pool.starmap(evaluate, jobs)
     else:
-        parts = starmap(_evaluate, jobs)
+        parts = starmap(evaluate, jobs)
     acc = _Accumulator()
     for part in parts:
         acc.merge(part)

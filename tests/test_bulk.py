@@ -134,6 +134,46 @@ class TestSplitChunks:
         chunks = self.assert_matches_reference(9, amask)
         assert chunks == (4 if amask.bit_count() in (4, 5) else 1)
 
+    @staticmethod
+    def assert_relabelings_match(n, amask):
+        # every connected canonical index, relabeled onto the split, is the
+        # split's own enumeration: the same codes, rows and r, in its order
+        r = amask.bit_count()
+        chunks = list(_bulk.split_connected_codes(n, amask))
+        got = _bulk.split_relabelings(n, amask, np.flatnonzero(_bulk._split_connected(r, n - r)))
+        assert isinstance(got, _bulk.Chunk) and got.kappas is None and got.r == r
+        assert got.codes.dtype == np.int64 and got.rows.dtype == np.int32
+        assert got.rows.shape == (got.size, n)
+        np.testing.assert_array_equal(got.codes, np.concatenate([c.codes for c in chunks]))
+        np.testing.assert_array_equal(got.rows, np.concatenate([c.rows for c in chunks]))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_split_relabels_the_canonical_split(self, n):
+        for amask in _bulk.bipartite_splits(n):
+            self.assert_relabelings_match(n, amask)
+
+    @pytest.mark.parametrize("amask", [0b000001111, 0b101010101, 0b110000011, 0b1, 0b011111111])
+    def test_n9_splits_relabel_the_canonical_split(self, amask):
+        self.assert_relabelings_match(9, amask)
+
+    def test_relabelings_of_a_subset(self):
+        # a few canonical indices, unsorted: the chunk holds the graphs of the
+        # split that relabel (A onto 0..r-1, B after it, each part in order)
+        # to exactly those canonical graphs, in the split's enumeration order
+        n, amask = 6, 0b010101
+        label = {v: k for k, v in enumerate([0, 2, 4, 1, 3, 5])}
+        picks = [40, 3, 17, 0]
+        got = _bulk.split_relabelings(n, amask, np.flatnonzero(_bulk._split_connected(3, 3))[picks])
+        assert got.size == len(picks) and got.r == 3
+        canonical = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, 0b111)])
+        relabeled = [Graph(n, [(label[i], label[j]) for i, j in from_code(n, int(c)).edges()])
+                     .to_code() for c in got.codes]
+        assert sorted(relabeled) == sorted(canonical[picks].tolist())
+        own = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, amask)]).tolist()
+        positions = [own.index(int(c)) for c in got.codes]
+        assert positions == sorted(positions)
+        np.testing.assert_array_equal(got.rows, _bulk.decode_rows(got.codes, n))
+
     def test_clear_caches_empties_split_tables(self, monkeypatch):
         monkeypatch.setattr(_bulk, "_connected_cache", {})
         monkeypatch.setattr(_bulk, "_split_cache", {})

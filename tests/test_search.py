@@ -877,6 +877,56 @@ class TestSplitCache:
         assert warm == cold
 
 
+class TestShapeScreen:
+    """An upper-only bipartite scan screens each part-size shape once, on
+    its canonical split, and solves each split's relabeled survivors."""
+
+    @pytest.mark.parametrize("bound_id,alphas", [
+        ("conj31", [1.5, 2, 3]),
+        ("conj31", [4, 5]),
+        ("thm31", [0.5, 2, 4]),
+        ("thm32", [0.25, 0.5, 1]),
+    ])
+    def test_matches_unscreened_splits(self, bound_id, alphas):
+        branch_items = tuple(sorted(search._resolve_grid(bound_id, alphas).items()))
+        raws = 0
+        for n in range(2, 8):
+            new = search._evaluate_splits(search._Accumulator(), n, branch_items)
+            ref = evaluate_reference(search._Accumulator(),
+                                     chain.from_iterable(search._internal_units([n], "bipartite")),
+                                     branch_items, None)
+            assert_same(new, ref)
+            assert new.count == [1, 3, 19, 195, 3031, 67263][n - 2]
+            raws += len(new.raw)
+        assert (raws > 0) == (bound_id == "conj31" and alphas[0] > 3)
+
+    def test_one_screen_per_shape(self, monkeypatch):
+        calls = []
+        original = search._moment_screen
+
+        def counting(rows, n, *args):
+            calls.append(n)
+            return original(rows, n, *args)
+
+        monkeypatch.setattr(search, "_moment_screen", counting)
+        scan("conj31", range(2, 8), [1.5, 2, 3], threads=1)
+        assert sorted(calls) == [n for n in range(2, 8) for _ in range(1, n)]
+
+    def test_grid_change_in_one_process(self):
+        # survivors depend on the grid, so they must not outlive a scan
+        _bulk.clear_caches()
+        cold = scan("conj31", range(2, 9), [4], threads=1).to_json(redact_timing=True)
+        _bulk.clear_caches()
+        scan("conj31", range(2, 9), [1.5, 2, 3], threads=1)
+        warm = scan("conj31", range(2, 9), [4], threads=1)
+        assert len(warm.violations) == 56
+        assert warm.to_json(redact_timing=True) == cold
+
+    def test_n9_census(self, monkeypatch):
+        monkeypatch.setattr(_bulk, "_split_cache", {})  # the n = 9 tables do not outlive the test
+        assert scan("conj31", [9], [2.0], threads=1).graphs_scanned == 89_224_635  # A001832
+
+
 class TestBenchHooks:
     def test_traced_kappa_scan_decodes_once(self):
         # one decode per n, by the connectivity filter; the kappa sweep and
@@ -889,21 +939,35 @@ class TestBenchHooks:
         assert (decodes, codes, kappas) == (3, 2 + 8 + 64, 1 + 4 + 38)
 
     def test_traced_bipartite_scan_counts_splits(self):
-        # every cross-edge subset of every split is enumerated, and the
-        # connected ones are the labeled connected bipartite graphs (A001832)
+        # an upper-only grid enumerates the canonical split of each part-size
+        # shape (r, n - r) only: every cross-edge subset of it, and its
+        # connected graphs, one per isomorph class of labeled graph per shape
         codes, kept = run_traced(
             "search.scan('conj31', range(2, 7), [2.0], threads=1)\n"
+            "print(t.counts['bulk.enum.codes'], t.counts['bulk.enum.kept'])\n"
+        )
+        assert codes == sum(1 << (r * (n - r)) for n in range(2, 7) for r in range(1, n))
+        assert (codes, kept) == (1290, 387)
+
+    def test_traced_lower_bipartite_scan_counts_splits(self):
+        # a lower-bound grid enumerates every cross-edge subset of every
+        # split, and the connected ones are the labeled connected bipartite
+        # graphs (A001832)
+        codes, kept = run_traced(
+            "search.scan('thm32', range(2, 7), [-1.0], threads=1)\n"
             "print(t.counts['bulk.enum.codes'], t.counts['bulk.enum.kept'])\n"
         )
         assert (codes, kept) == (9966, 1 + 3 + 19 + 195 + 3031)
 
     def test_traced_conj31_scan_solves_few_matrices(self):
-        # the moment screen sends 120 of the 70,512 graphs to LAPACK
+        # the moment screen runs on the 4,401 graphs of the 21 canonical
+        # splits and keeps one per shape; each of the 120 splits then solves
+        # that graph's relabeling: 141 of the 70,512 graphs reach LAPACK
         matrices, kept = run_traced(
             "search.scan('conj31', range(2, 8), [1.5, 2, 3], threads=1)\n"
             "print(t.counts['bulk.q_eigs.matrices'], t.counts['bulk.enum.kept'])\n"
         )
-        assert (matrices, kept) == (120, 70512)
+        assert (matrices, kept) == (141, 4401)
 
     def test_traced_scan_counts_scalar_bound(self):
         scalar, connectivity, scans = run_traced(
