@@ -246,13 +246,6 @@ def bipartite_splits(n: int) -> list[int]:
     return [a for a in range(1, full, 2) if a != full]
 
 
-def _cross_edges(n: int, amask: int) -> list[tuple[int, int, int]]:
-    """(p, i, j) for each edge ij between A = amask and its complement, with p
-    its bit in the edge code; graph6 pair order."""
-    return [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
-            if ((amask >> i) ^ (amask >> j)) & 1]
-
-
 def _subset_table(weights: np.ndarray) -> np.ndarray:
     """Column x is the OR of the rows of weights at the set bits of x, shape
     (weights.shape[1], 2**len(weights)), built by doubling: one operation per
@@ -274,7 +267,7 @@ def _split_connected(r: int, s: int) -> np.ndarray:
     keep = _split_cache.get((r, s))
     if keep is None:
         n = r + s
-        edges = [(t, i, j) for t, (_, i, j) in enumerate(_cross_edges(n, (1 << r) - 1))]
+        edges = [((j - r) * r + i, i, j) for j in range(r, n) for i in range(r)]  # graph6 order
         total = 1 << len(edges)
         keep = np.concatenate([
             connected_mask(_rows(np.arange(lo, min(lo + CHUNK, total), dtype=np.int64), n, edges), n)
@@ -289,16 +282,22 @@ def _split_weights(n: int, amask: int) -> np.ndarray:
     in x', the index among the cross-edge subsets of the canonical split
     A = {0..r-1} (A relabeled onto 0..r-1 and B after it, each part in order).
     A graph of the split with cross-edge subset x has the OR of the rows at
-    the set bits of x for its code, rows and x'."""
-    cross = _cross_edges(n, amask)
+    the set bits of x for its code, rows and x'.  The canonical cross edge
+    (a, b), a < r <= b, is bit (b - r) r + a, its graph6 position."""
+    side = (amask >> np.arange(n)) & 1
+    pairs = np.array(_pair_positions(n), dtype=np.int64).reshape(-1, 2)
+    p = np.flatnonzero(side[pairs[:, 0]] != side[pairs[:, 1]])  # bits in the edge code
+    i, j = pairs[p].T
     r = amask.bit_count()
-    order = sorted(range(n), key=lambda v: not amask >> v & 1)  # A, then B
-    label = {v: k for k, v in enumerate(order)}
-    canonical = {(i, j): t for t, (_, i, j) in enumerate(_cross_edges(n, (1 << r) - 1))}
-    weights = np.zeros((len(cross), n + 2), dtype=np.int64)  # code, n rows, x'
-    for s, (p, i, j) in enumerate(cross):
-        t = canonical[tuple(sorted((label[i], label[j])))]
-        weights[s, [0, 1 + i, 1 + j, n + 1]] = 1 << p, 1 << j, 1 << i, 1 << t
+    label = np.empty(n, dtype=np.int64)
+    label[np.argsort(1 - side, kind="stable")] = np.arange(n)  # A, then B
+    a, b = np.minimum(label[i], label[j]), np.maximum(label[i], label[j])
+    weights = np.zeros((len(p), n + 2), dtype=np.int64)  # code, n rows, x'
+    s = np.arange(len(p))
+    weights[s, 0] = 1 << p
+    weights[s, 1 + i] = 1 << j
+    weights[s, 1 + j] = 1 << i
+    weights[s, n + 1] = 1 << ((b - r) * r + a)
     return weights
 
 

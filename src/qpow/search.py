@@ -6,17 +6,17 @@ census counts to validate against.  Scans evaluate a bound over a whole
 population, collect per-(n, k, alpha) extremal witnesses, and re-verify every
 candidate violation through the slower independent route (Jacobi eigensolver
 at tightened tolerance, flow-based connectivity) before it is reported.
-A population arrives as _bulk.Chunk batches from internal work units or from
-a buffered graph6 stream, which is one more unit, and one loop evaluates
-every batch with batched LAPACK.  The kappa <= k populations are nested, so
-that loop decides every k of a batch from one kappa <= k mask and its cost
-per batch grows with the alpha grid, not with alpha x k.  On a grid of upper
-bounds only, a screen of exact trace-moment bounds sends to LAPACK just the
-graphs that can still be a witness or a candidate, so an upper-bound scan
-solves a few graphs per batch and leaves the report unchanged.  On the
-internal bipartite population that screen runs once per part-size shape, on
-the canonical split, and every split of the shape solves only the
-relabelings of its survivors (_evaluate_splits, one unit per n).
+A scan runs in one process.  A population arrives as _bulk.Chunk batches
+from internal enumeration or from a buffered graph6 stream, and one loop
+evaluates every batch with batched LAPACK.  The kappa <= k populations are
+nested, so that loop decides every k of a batch from one kappa <= k mask and
+its cost per batch grows with the alpha grid, not with alpha x k.  On a grid
+of upper bounds only, a screen of exact trace-moment bounds sends to LAPACK
+just the graphs that can still be a witness or a candidate, so an upper-bound
+scan solves a few graphs per batch and leaves the report unchanged.  The
+internal bipartite population is screened once per part-size shape, on the
+canonical split (by moments on an upper-only grid, by spectra otherwise), and
+each split solves only the relabelings of the survivors (_evaluate_splits).
 Re-verification computes the slow facts once per distinct candidate graph
 and then checks each candidate record against its graph's facts in canonical
 order.  The candidate graphs of one n get their Jacobi spectra from one
@@ -29,11 +29,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, groupby, starmap
+from itertools import chain, groupby
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -198,7 +197,7 @@ def _scalar_bound(branch_id: str, alpha: float, n: int, k: Optional[int],
 
 
 class _Accumulator:
-    """Merge accumulator: population count, raw violations, best witnesses."""
+    """Scan accumulator: population count, raw violations, best witnesses."""
 
     def __init__(self):
         self.count = 0
@@ -210,18 +209,12 @@ class _Accumulator:
         if cur is None or (value > cur[0] if maximize else value < cur[0]):
             self.witness[key] = (value, code)
 
-    def merge(self, other: "_Accumulator"):
-        self.count += other.count
-        self.raw.extend(other.raw)
-        for key, (value, code) in other.witness.items():
-            self.update_witness(key, value, code, BOUNDS[key[2]].direction == "upper")
-
 
 @dataclass(frozen=True)
 class _Unit:
-    """One internal work unit, iterated as Chunks: every labeled connected
+    """One internal population, iterated as Chunks: every labeled connected
     graph on n vertices, or for the bipartite family every one whose
-    bipartition is the split amask.  Units are picklable for the scan pool."""
+    bipartition is the split amask (scans take that family by shape)."""
 
     n: int
     family: str
@@ -233,11 +226,15 @@ class _Unit:
         return _bulk.connected_chunks(self.n, self.family == "kappa")
 
 
-def _internal_units(ns, family: str) -> list[_Unit]:
+def _check_cap(ns, family: str) -> None:
     cap = INTERNAL_ENUM_CAP[family]
     if any(not 1 <= n <= cap for n in ns):
         raise ValueError(f"internal enumeration of the {family} family handles 1 <= n <= {cap}; "
                          "beyond that, scan a graph6 stream of the graphs (--input)")
+
+
+def _internal_units(ns, family: str) -> list[_Unit]:
+    _check_cap(ns, family)
     if family == "bipartite":
         return [_Unit(n, family, amask) for n in ns for amask in _bulk.bipartite_splits(n)]
     return [_Unit(n, family) for n in ns]
@@ -317,7 +314,8 @@ def _moment_screen(rows: np.ndarray, n: int, member: np.ndarray, alphas: list[fl
         keep |= (ub[:, a] >= floor[a, j]) & member[:, j]
     rest = keep.copy()
     keep[probe], rest[probe] = True, False
-    eigs[rest] = _bulk.q_eigs(rows[rest], n)
+    if rest.any():
+        eigs[rest] = _bulk.q_eigs(rows[rest], n)
     return keep, eigs[keep]
 
 
@@ -343,7 +341,7 @@ def _tally(acc: _Accumulator, n: int, codes, member: np.ndarray, ks: list, eigs:
 
 def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) -> _Accumulator:
     """The evaluation loop over Chunks: batched LAPACK spectra, then _tally.
-    Returns acc, so the scan pool can run it on a unit.
+    Returns acc.
 
     One mask member[i, j] = kappa_i <= ks[j] per batch decides every k (one
     all-true column without kappa), and each alpha costs one bound row over
@@ -373,37 +371,53 @@ def _evaluate(acc: _Accumulator, batches, branch_items, k_fixed: Optional[int]) 
     return acc
 
 
+def _exact_screen(rows: np.ndarray, n: int, branch_items, bvals: np.ndarray) -> np.ndarray:
+    """The mask of the batch graphs that can be a witness or a candidate of
+    any grid, from their LAPACK spectra: in some column, a power sum within
+    tol_eq(best) of the batch's extreme best, or a margin below 0 (a band of
+    tol_eq(b) over the candidate test).  bvals[a, 0] is alpha a's bound."""
+    eigs = _bulk.q_eigs(rows, n)
+    keep = np.zeros(len(rows), dtype=bool)
+    for (alpha, branch), (bval,) in zip(branch_items, bvals.tolist()):
+        sign = 1.0 if BOUNDS[branch].direction == "upper" else -1.0
+        vals = sign * _bulk.power_sums(eigs, alpha)  # the larger, the more extreme
+        best = float(vals.max())
+        keep |= (vals >= best - tol_eq(best)) | (vals > sign * bval)
+    return keep
+
+
 def _shape_survivors(n: int, r: int, branch_items) -> tuple[np.ndarray, np.ndarray, int]:
     """(survivors, bvals, count) for the splits of n with |A| = r: the
-    canonical indices (ascending) of the graphs that _moment_screen keeps on
-    the chunks of the canonical split A = {0..r-1}, the bound of each alpha,
-    and the number of connected graphs of one split."""
+    canonical indices (ascending) of the graphs that the screen keeps on the
+    chunks of the canonical split A = {0..r-1}, the bound of each alpha, and
+    the number of connected graphs of one split.  The screen is
+    _moment_screen on an upper-only grid and _exact_screen otherwise."""
     alphas = [alpha for alpha, _ in branch_items]
     bvals = np.array([[_scalar_bound(branch, alpha, n, None, r=r)]
                       for alpha, branch in branch_items])
     keeps = [_moment_screen(rows, n, np.ones((len(rows), 1), bool), alphas, bvals, True)[0]
+             if _upper_only(branch_items) else _exact_screen(rows, n, branch_items, bvals)
              for _, rows, _, _ in _bulk.split_connected_codes(n, (1 << r) - 1)]
     # the canonical split's chunks hold its connected graphs in ascending x = x'
     connected = np.flatnonzero(_bulk._split_connected(r, n - r))
     return connected[np.concatenate(keeps)], bvals, connected.size
 
 
-def _evaluate_splits(acc: _Accumulator, n: int, branch_items,
-                     k_fixed: Optional[int] = None) -> _Accumulator:
-    """What _evaluate gives on every split of n under an upper-only
-    bipartite grid, with one moment screen per part-size shape instead of
-    one per split; the scan pool runs it on n (k_fixed is always None).
+def _evaluate_splits(acc: _Accumulator, n: int, branch_items) -> _Accumulator:
+    """What _evaluate gives on every split of n, with one screen per
+    part-size shape instead of a solve or a screen per split.  Returns acc.
 
     Every split with |A| = r holds the canonical split's graphs relabeled,
-    and neither the screen's integer trace moments nor the bounds (a function
-    of n and r) change under relabeling.  So _shape_survivors screens the
-    canonical split once per r, and each split, in ascending order, solves
-    the Chunk of its relabeled survivors (split_relabelings, in enumeration
-    order) unscreened; its count is that of the shape's connectivity table.
-    A dropped graph's relabeling stays below the relabeled probe, solved in
-    the same split, and below the bound, so it is neither a witness nor a
-    candidate, and ties break in enumeration order as before.  The survivors
-    live for this call only: they depend on the grid."""
+    and neither the bounds (a function of n and r), the trace moments nor
+    the spectra change under relabeling, up to LAPACK rounding far inside
+    tol_eq (measured for n <= 7 in the tests).  So _shape_survivors screens
+    the canonical split once per r, and each split, in ascending order,
+    solves its relabeled survivors (split_relabelings, in enumeration order);
+    its count is that of the shape's connectivity table.  A dropped graph's
+    relabeling stays short of its chunk's relabeled probe or extreme, solved
+    in the same split, and of the candidate threshold, so ties break in
+    enumeration order as before.  The survivors depend on the grid, so they
+    live for this call only."""
     shapes = {r: _shape_survivors(n, r, branch_items) for r in range(1, n)}
     for amask in _bulk.bipartite_splits(n):
         r = amask.bit_count()
@@ -455,11 +469,7 @@ def _reverify_all(raws: list[tuple], family: str, branch_items) -> list[Violatio
     in canonical order.  The facts are the graph's graph6 string, its Q
     spectrum at the re-verification tolerance (_reverify_spectra, over the
     graphs of each n at once), and its flow connectivity and bipartition when
-    the scan's records need them (None otherwise).
-
-    The solves run in this process.  On the scan's worker pool they finish
-    sooner on an idle machine, but their time then rises and falls with the
-    load on every core, not just one."""
+    the scan's records need them (None otherwise)."""
     need_parts = any(BOUNDS[branch].shape == "parts" for _, branch in branch_items)
     facts = {}
     for n, pairs in groupby(sorted({raw[:2] for raw in raws}), key=lambda pair: pair[0]):
@@ -477,19 +487,17 @@ def _reverify_all(raws: list[tuple], family: str, branch_items) -> list[Violatio
     return violations
 
 
-def _threads_from_env(threads: Optional[int]) -> int:
+def _check_threads(threads: Optional[int]) -> None:
+    """Validate the threads argument or, without one, QPOW_THREADS.  Both
+    are still accepted, but every scan runs in this process."""
     if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("QPOW_THREADS")
-    if env:
+        int(threads)
+    elif env := os.environ.get("QPOW_THREADS"):
         try:
-            value = int(env)
-            if value < 1:
+            if int(env) < 1:
                 raise ValueError
         except ValueError:
             raise ValueError(f"QPOW_THREADS must be a positive integer, got {env!r}") from None
-        return value
-    return os.cpu_count() or 1
 
 
 def scan(
@@ -507,10 +515,10 @@ def scan(
     from a graph6 line stream.
 
     Returns a deterministic ScanReport; wall_time is the only field that
-    varies between identical runs.  QPOW_THREADS (or the threads argument)
-    caps worker parallelism; results are merged in canonical order so the
-    report does not depend on the worker count.  A QPOW_THREADS that is not
-    a positive integer raises ValueError.
+    varies between identical runs.  The scan runs in this process, in
+    canonical order.  The threads argument and QPOW_THREADS are accepted and
+    validated but start no worker: a QPOW_THREADS that is not a positive
+    integer raises ValueError.
     """
     t0 = time.perf_counter()
     ns = sorted(set(int(n) for n in n_values))
@@ -520,25 +528,17 @@ def scan(
     _check_k(bound_id, family, k)
     branch_items = tuple(sorted(branch_map.items()))
     live = _live_ns(ns, k)
-    evaluate = _evaluate
-    if source is None:
-        units = _internal_units(sorted(live), family)
-        if family == "bipartite" and _upper_only(branch_items):  # one unit per n
-            units, evaluate = sorted(live), _evaluate_splits
-    else:  # one unit, so it runs in this process
-        units = [_stream_batches(read_stream(source, strict=strict, on_error=on_error),
-                                 live, branch_items[0][1], family)]
-    jobs = [(_Accumulator(), unit, branch_items, k) for unit in units]
-    nworkers = min(_threads_from_env(threads), len(units))
-    # fork may follow numpy's BLAS threads; workers' _bulk cache fills stay there
-    if nworkers > 1:
-        with multiprocessing.get_context("fork").Pool(nworkers) as pool:
-            parts = pool.starmap(evaluate, jobs)
-    else:
-        parts = starmap(evaluate, jobs)
+    _check_threads(threads)
     acc = _Accumulator()
-    for part in parts:
-        acc.merge(part)
+    if source is not None:
+        _evaluate(acc, _stream_batches(read_stream(source, strict=strict, on_error=on_error),
+                                       live, branch_items[0][1], family), branch_items, k)
+    elif family == "bipartite":
+        _check_cap(live, family)
+        for n in sorted(live):
+            _evaluate_splits(acc, n, branch_items)
+    else:
+        _evaluate(acc, chain.from_iterable(_internal_units(sorted(live), family)), branch_items, k)
     violations = _reverify_all(acc.raw, family, branch_items)
     encode = functools.cache(emit_code)  # one string per witness graph, not per key
     witnesses = [

@@ -280,12 +280,18 @@ def connected_population(n: int, need_kappa: bool = False):
     return np.concatenate(codes), np.concatenate(kappas) if need_kappa else None
 
 
+def cross_edges_reference(n: int, amask: int) -> list[tuple[int, int, int]]:
+    """(p, i, j) for each edge ij between A = amask and its complement, with p
+    its bit in the edge code; graph6 pair order."""
+    return [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
+            if ((amask >> i) ^ (amask >> j)) & 1]
+
+
 def split_chunks_reference(n: int, amask: int):
     """The Chunks of _bulk.split_connected_codes(n, amask), built bit by bit:
     the rows of every subset of the cross edges, a frontier sweep over them,
     and the codes of the connected ones, one cross edge at a time."""
-    cross = [(p, i, j) for p, (i, j) in enumerate(_pair_positions(n))
-             if ((amask >> i) ^ (amask >> j)) & 1]
+    cross = cross_edges_reference(n, amask)
     total = 1 << len(cross)
     for lo in range(0, total, _bulk.CHUNK):
         local = np.arange(lo, min(lo + _bulk.CHUNK, total), dtype=np.int64)
@@ -297,6 +303,23 @@ def split_chunks_reference(n: int, amask: int):
             for lbit, (p, _, _) in enumerate(cross):
                 codes |= ((local >> lbit) & 1) << p
             yield _bulk.Chunk(codes, rows[keep], r=amask.bit_count())
+
+
+def split_weights_reference(n: int, amask: int) -> np.ndarray:
+    """_bulk._split_weights(n, amask) built from Python dicts, one cross edge
+    at a time: its code bit, its two row bits, and the bit of the relabeled
+    edge (A onto 0..r-1, B after it, each part in order) among the canonical
+    split's cross edges in graph6 order."""
+    cross = cross_edges_reference(n, amask)
+    r = amask.bit_count()
+    order = sorted(range(n), key=lambda v: not amask >> v & 1)  # A, then B
+    label = {v: k for k, v in enumerate(order)}
+    canonical = {(i, j): t for t, (_, i, j) in enumerate(cross_edges_reference(n, (1 << r) - 1))}
+    weights = np.zeros((len(cross), n + 2), dtype=np.int64)  # code, n rows, x'
+    for s, (p, i, j) in enumerate(cross):
+        t = canonical[tuple(sorted((label[i], label[j])))]
+        weights[s, [0, 1 + i, 1 + j, n + 1]] = 1 << p, 1 << j, 1 << i, 1 << t
+    return weights
 
 
 def all_graphs(n: int):

@@ -12,6 +12,7 @@ from conftest import (
     induced_connected_bfs,
     q_moments_oracle,
     split_chunks_reference,
+    split_weights_reference,
 )
 
 ALPHAS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
@@ -173,6 +174,14 @@ class TestSplitChunks:
         positions = [own.index(int(c)) for c in got.codes]
         assert positions == sorted(positions)
         np.testing.assert_array_equal(got.rows, _bulk.decode_rows(got.codes, n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_split_weights_match_dict_reference(self, n):
+        for amask in _bulk.bipartite_splits(n):
+            got = _bulk._split_weights(n, amask)
+            want = split_weights_reference(n, amask)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     def test_clear_caches_empties_split_tables(self, monkeypatch):
         monkeypatch.setattr(_bulk, "_connected_cache", {})

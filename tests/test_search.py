@@ -19,7 +19,7 @@ from qpow.invariants import nonzero_power_sum
 import qpow.search as search
 from qpow.search import REVERIFY_CONV_SCALE, enumerate_graphs, extremal_table, scan
 from qpow.spectra import jacobi_eigenvalues_batch, q_spectrum, signless_laplacian
-from qpow.verify import matches_extremal, tol_eq
+from qpow.verify import TOL_EQ_SCALE, matches_extremal, tol_eq
 
 import conftest
 from conftest import (
@@ -273,12 +273,26 @@ class TestReports:
         assert doc["source"] == "internal"
 
     def test_threads_do_not_change_bytes(self):
-        # thm32 has no candidates; conj44 has some to re-verify
+        # every scan runs in one process, so this compares two in-process
+        # runs; thm32 has no candidates, conj44 has some to re-verify
         for bound_id, grid in [("thm32", [0.5, 1]), ("conj44", [-1, 0.5])]:
             a = scan(bound_id, range(2, 6), grid, threads=1)
             b = scan(bound_id, range(2, 6), grid, threads=2)
             assert a.to_json(redact_timing=True) == b.to_json(redact_timing=True)
             assert bool(a.violations) == (bound_id == "conj44")
+
+    def test_no_process_started(self, monkeypatch):
+        # threads=2 is accepted and validated, but no scan forks a worker
+        def no_fork():
+            raise AssertionError("a scan forked")
+
+        runs = [("conj31", [1.5, 2, 3]), ("thm32", [-1]), ("conj44", [-1, 0.5])]
+        one = [scan(bound_id, range(2, 7), grid, threads=1).to_json(redact_timing=True)
+               for bound_id, grid in runs]
+        monkeypatch.setattr(os, "fork", no_fork)
+        two = [scan(bound_id, range(2, 7), grid, threads=2).to_json(redact_timing=True)
+               for bound_id, grid in runs]
+        assert two == one
 
     def test_env_threads(self, monkeypatch):
         monkeypatch.setenv("QPOW_THREADS", "2")
@@ -860,14 +874,13 @@ class TestConnectedCache:
 class TestSplitCache:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_warm_tables_give_cold_bytes(self, monkeypatch, threads):
-        # fork workers inherit the parent's tables when it holds them and
-        # build their own when it does not
+        # every scan builds its tables in this process, at any threads
         monkeypatch.setattr(_bulk, "_connected_cache", {})
         monkeypatch.setattr(_bulk, "_split_cache", {})
         shapes = {(r, n - r) for n in range(2, 8) for r in range(1, n)}
         _bulk.clear_caches()
         cold = scan("conj31", range(2, 8), [1.5, 2, 3], threads=threads).to_json(redact_timing=True)
-        assert set(_bulk._split_cache) == (shapes if threads == 1 else set())
+        assert set(_bulk._split_cache) == shapes
         for n in range(2, 8):
             for amask in _bulk.bipartite_splits(n):
                 for _ in _bulk.split_connected_codes(n, amask):
@@ -877,15 +890,39 @@ class TestSplitCache:
         assert warm == cold
 
 
+def relabeled_power_sums(n, r, alphas):
+    """(rows, vals) for the shape (r, n - r): per split of the shape, the rows
+    of the relabelings of the canonical split's connected graphs, and per
+    alpha their LAPACK power sums, shape (splits, graphs).  Both are in
+    canonical order, and split 0 is the canonical split."""
+    canonical = np.flatnonzero(_bulk._split_connected(r, n - r))
+    rows = []
+    for amask in _bulk.bipartite_splits(n):
+        if amask.bit_count() == r:
+            codes, split_rows, _, _ = _bulk.split_relabelings(n, amask, canonical)
+            weights = _bulk._split_weights(n, amask)
+            # each graph's canonical index x', from its code's cross edges
+            xs = ((codes[:, None] & weights[:, 0]) != 0) @ weights[:, -1]
+            order = np.argsort(xs)
+            assert np.array_equal(xs[order], canonical)
+            rows.append(split_rows[order])
+    eigs = [_bulk.q_eigs(split_rows, n) for split_rows in rows]
+    return rows, {alpha: np.array([_bulk.power_sums(e, alpha) for e in eigs]) for alpha in alphas}
+
+
 class TestShapeScreen:
-    """An upper-only bipartite scan screens each part-size shape once, on
-    its canonical split, and solves each split's relabeled survivors."""
+    """A bipartite scan screens each part-size shape once, on its canonical
+    split (by trace moments on an upper-only grid, by exact spectra on any
+    grid with a lower bound), and solves each split's relabeled survivors."""
 
     @pytest.mark.parametrize("bound_id,alphas", [
         ("conj31", [1.5, 2, 3]),
         ("conj31", [4, 5]),
         ("thm31", [0.5, 2, 4]),
         ("thm32", [0.25, 0.5, 1]),
+        ("thm31", [-1, 0.5, 2]),
+        ("thm32", [-2, -0.5]),
+        ("thm32", [-1, 0.5, 1]),
     ])
     def test_matches_unscreened_splits(self, bound_id, alphas):
         branch_items = tuple(sorted(search._resolve_grid(bound_id, alphas).items()))
@@ -899,6 +936,57 @@ class TestShapeScreen:
             assert new.count == [1, 3, 19, 195, 3031, 67263][n - 2]
             raws += len(new.raw)
         assert (raws > 0) == (bound_id == "conj31" and alphas[0] > 3)
+
+    def test_relabeling_rounding_far_inside_tol_eq(self):
+        # every graph of every split is a relabeling of a canonical graph of
+        # its shape: LAPACK's power sums of the two differ by rounding only,
+        # and that must stay far inside the tol_eq band the screen leaves
+        tol = np.vectorize(tol_eq, otypes=[float])
+        worst = 0.0
+        for n in range(2, 8):
+            for r in range(1, n):
+                _, vals = relabeled_power_sums(n, r, [-2.0, -1.0, 0.5, 2.0])
+                for v in vals.values():
+                    worst = max(worst, float(np.max(np.abs(v - v[0]) / tol(v[0]))))
+        assert worst * 1e3 <= 1.0
+
+    def test_witness_band_keeps_rounding_copies(self):
+        # the copies of one graph on the splits of its shape tie up to
+        # rounding, so the exact screen keeps every one of them as an extreme
+        n, r, alpha = 6, 3, -1.0
+        rows, vals = relabeled_power_sums(n, r, [alpha])
+        g = int(np.argmax(np.ptp(vals[alpha], axis=0)))
+        assert np.ptp(vals[alpha][:, g]) > 0
+        branch_items = tuple(sorted(search._resolve_grid("thm32", [alpha]).items()))
+        copies = np.stack([split_rows[g] for split_rows in rows])
+        # a bound of 0 makes no candidate, so only the witness band keeps them
+        assert search._exact_screen(copies, n, branch_items, np.zeros((1, 1))).all()
+
+    def test_candidate_band_keeps_rounding_copies(self, monkeypatch):
+        # a planted bound whose candidate threshold b - tol_eq(b) lies between
+        # a graph's canonical power sum and a lower rounding of one of its
+        # relabelings: that copy is a candidate in its split, so the screen
+        # must keep the graph although its canonical margin is above -tol_eq(b)
+        n, r, alpha = 6, 3, -1.0
+        _, vals = relabeled_power_sums(n, r, [alpha])
+        v = vals[alpha]
+        g = int(np.argmax(v[0] - v.min(axis=0)))
+        low, canonical = float(v[:, g].min()), float(v[0, g])
+        b = (low + canonical) / 2 / (1 - TOL_EQ_SCALE)
+        assert low < b - tol_eq(b) < canonical
+
+        def bound(branch, alpha, n, k, r=None):
+            return b
+
+        monkeypatch.setattr(search, "_scalar_bound", bound)
+        monkeypatch.setattr(conftest, "_scalar_bound", bound)
+        branch_items = tuple(sorted(search._resolve_grid("thm32", [alpha]).items()))
+        new = search._evaluate_splits(search._Accumulator(), n, branch_items)
+        ref = evaluate_reference(search._Accumulator(),
+                                 chain.from_iterable(search._internal_units([n], "bipartite")),
+                                 branch_items, None)
+        assert_same(new, ref)
+        assert low in {raw[5] for raw in new.raw}
 
     def test_one_screen_per_shape(self, monkeypatch):
         calls = []
@@ -926,6 +1014,12 @@ class TestShapeScreen:
         monkeypatch.setattr(_bulk, "_split_cache", {})  # the n = 9 tables do not outlive the test
         assert scan("conj31", [9], [2.0], threads=1).graphs_scanned == 89_224_635  # A001832
 
+    def test_n9_lower_census(self, monkeypatch):
+        # a lower grid solves the 1,490,420 canonical graphs, in four chunks
+        # for each of the shapes (4, 5) and (5, 4)
+        monkeypatch.setattr(_bulk, "_split_cache", {})
+        assert scan("thm32", [9], [-1.0], threads=1).graphs_scanned == 89_224_635  # A001832
+
 
 class TestBenchHooks:
     def test_traced_kappa_scan_decodes_once(self):
@@ -950,11 +1044,21 @@ class TestBenchHooks:
         assert (codes, kept) == (1290, 387)
 
     def test_traced_lower_bipartite_scan_counts_splits(self):
-        # a lower-bound grid enumerates every cross-edge subset of every
-        # split, and the connected ones are the labeled connected bipartite
-        # graphs (A001832)
+        # a lower-bound grid also enumerates the canonical split of each
+        # part-size shape only, as the upper-only twin above does
         codes, kept = run_traced(
             "search.scan('thm32', range(2, 7), [-1.0], threads=1)\n"
+            "print(t.counts['bulk.enum.codes'], t.counts['bulk.enum.kept'])\n"
+        )
+        assert (codes, kept) == (1290, 387)
+
+    def test_traced_bipartite_enumeration_counts_splits(self):
+        # enumerate_graphs walks every cross-edge subset of every split, and
+        # the connected ones are the labeled connected bipartite graphs (A001832)
+        codes, kept = run_traced(
+            "for n in range(2, 7):\n"
+            "    for _ in search.enumerate_graphs(n, 'connected-bipartite'):\n"
+            "        pass\n"
             "print(t.counts['bulk.enum.codes'], t.counts['bulk.enum.kept'])\n"
         )
         assert (codes, kept) == (9966, 1 + 3 + 19 + 195 + 3031)
