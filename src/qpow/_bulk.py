@@ -9,10 +9,10 @@ most CHUNK graphs, which caps the memory of one batch.  A connected or kappa
 population's graph is decoded once, by the filter that enumerates it or from
 one cache, which holds the codes and kappas of the connected graphs for
 n <= 7.  A bipartite split's graphs are gathered instead: their codes and
-rows from two half-size subset tables of the split's cross edges, and their
-connectivity from one cached table per part-size pair (|A|, |B|); the same
-edge weights relabel chosen graphs of the canonical split onto any split of
-its shape (split_relabelings).  Rows are built column by column, and
+rows from two half-size subset tables of the split's cross edges, and a
+frontier sweep over those rows keeps the connected ones; the same edge
+weights relabel chosen graphs of the canonical split onto any split of its
+shape (split_relabelings).  Rows are built column by column, and
 connectivity, of a graph or of the subgraph induced on a vertex set (the
 kappa sweep), is an in-place frontier sweep over a batch's columns.  The
 other kernels are batched signless Laplacian spectra and power sums, and
@@ -37,7 +37,6 @@ from .spectra import ZERO_THRESHOLD_SCALE
 CHUNK = 1 << 18
 
 _connected_cache: dict[int, Chunk] = {}  # n -> codes and kappas, rows None
-_split_cache: dict[tuple[int, int], np.ndarray] = {}  # (|A|, |B|) -> _split_connected
 
 
 def _rows(bits: np.ndarray, n: int, edges) -> np.ndarray:
@@ -84,11 +83,11 @@ def connected_mask(rows: np.ndarray, n: int, keep: int | None = None) -> np.ndar
 
 
 def q_matrices(rows: np.ndarray, n: int) -> np.ndarray:
-    vbits = np.arange(n, dtype=np.int32)
-    adj = ((rows[:, :, None] >> vbits[None, None, :]) & 1).astype(np.float64)
-    mats = adj.copy()
+    """Signless Laplacian matrices Q = D + A, shape (B, n, n), float64: the
+    adjacency bits, with the row sums written onto their zero diagonal."""
+    mats = ((rows[:, :, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.float64)
     idx = np.arange(n)
-    mats[:, idx, idx] = adj.sum(axis=2)
+    mats[:, idx, idx] = mats.sum(axis=2)
     return mats
 
 
@@ -256,48 +255,28 @@ def _subset_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def _split_connected(r: int, s: int) -> np.ndarray:
-    """Connectivity of each graph of the canonical split A = {0..r-1}, B =
-    {r..r+s-1}, by its index among the subsets of the split's cross edges.
-
-    Connectivity does not change under relabeling, so one table serves every
-    split with |A| = r and |B| = s.  It is built once per process (and after
-    clear_caches) with _rows and connected_mask, CHUNK graphs at a time, and
-    cached; the largest at the n = 9 cap is K_{4,5}'s, 2**20 bools (1 MiB)."""
-    keep = _split_cache.get((r, s))
-    if keep is None:
-        n = r + s
-        edges = [((j - r) * r + i, i, j) for j in range(r, n) for i in range(r)]  # graph6 order
-        total = 1 << len(edges)
-        keep = np.concatenate([
-            connected_mask(_rows(np.arange(lo, min(lo + CHUNK, total), dtype=np.int64), n, edges), n)
-            for lo in range(0, total, CHUNK)])
-        _split_cache[r, s] = keep
-    return keep
-
-
 def _split_weights(n: int, amask: int) -> np.ndarray:
     """(c, n + 2) int64: for each cross edge s of the split, in graph6 order,
     its bit in the edge code, its bits in the n adjacency rows, and its bit
-    in x', the index among the cross-edge subsets of the canonical split
-    A = {0..r-1} (A relabeled onto 0..r-1 and B after it, each part in order).
-    A graph of the split with cross-edge subset x has the OR of the rows at
-    the set bits of x for its code, rows and x'.  The canonical cross edge
-    (a, b), a < r <= b, is bit (b - r) r + a, its graph6 position."""
+    in the canonical code, the edge code of the graph relabeled onto the
+    canonical split A = {0..r-1} (A onto 0..r-1 and B after it, each part in
+    order).  A graph of the split with cross-edge subset x has the OR of the
+    rows at the set bits of x for its code, rows and canonical code.  The
+    relabeled edge (a, b), a < b, is bit b (b - 1) / 2 + a, its graph6
+    position."""
     side = (amask >> np.arange(n)) & 1
     pairs = np.array(_pair_positions(n), dtype=np.int64).reshape(-1, 2)
     p = np.flatnonzero(side[pairs[:, 0]] != side[pairs[:, 1]])  # bits in the edge code
     i, j = pairs[p].T
-    r = amask.bit_count()
     label = np.empty(n, dtype=np.int64)
     label[np.argsort(1 - side, kind="stable")] = np.arange(n)  # A, then B
     a, b = np.minimum(label[i], label[j]), np.maximum(label[i], label[j])
-    weights = np.zeros((len(p), n + 2), dtype=np.int64)  # code, n rows, x'
+    weights = np.zeros((len(p), n + 2), dtype=np.int64)  # code, n rows, canonical code
     s = np.arange(len(p))
     weights[s, 0] = 1 << p
     weights[s, 1 + i] = 1 << j
     weights[s, 1 + j] = 1 << i
-    weights[s, n + 1] = 1 << ((b - r) * r + a)
+    weights[s, n + 1] = 1 << (b * (b - 1) // 2 + a)
     return weights
 
 
@@ -308,42 +287,38 @@ def split_connected_codes(n: int, amask: int):
     connected graphs among CHUNK consecutive subsets x of the cross edges, in
     ascending x.  Each chunk's r is |A|.
 
-    A graph's edge code, its adjacency rows and its canonical index x' are
-    ORs over the edges in x (_split_weights).  So each is high[x >> b] |
-    low[x & (2**b - 1)], from two subset tables of at most 2**9 columns, and
-    a graph is kept when _split_connected(r, n - r)[x'] holds: no graph is
-    decoded and no frontier sweep runs per split.  Above 18 cross edges
-    (n = 9), each chunk's high table carries the weights of the bits fixed in
-    the chunk.  Rows come out F-ordered (column-contiguous), int32."""
-    weights = _split_weights(n, amask)
+    A graph's edge code and its adjacency rows are ORs over the edges in x
+    (_split_weights).  So each is top[x >> b] | low[x & (2**b - 1)], from two
+    subset tables of at most 2**9 columns: a chunk's rows are one outer OR
+    of the two tables' rows, and connected_mask on them picks the graphs it
+    keeps.  Above 18 cross edges (n = 9), each chunk's top table carries the
+    weights of the bits fixed in the chunk.  Rows come out F-ordered
+    (column-contiguous), int32."""
+    weights = _split_weights(n, amask)[:, :-1]  # code, n rows
     r = amask.bit_count()
     bits = min(len(weights), CHUNK.bit_length() - 1)  # the bits of x within a chunk
     b = bits // 2
     low, high = _subset_table(weights[:b]), _subset_table(weights[b:bits])
-    connected = _split_connected(r, n - r)
-    low_rows = low[1:-1].astype(np.int32)
+    low_rows = low[1:].astype(np.int32)
     for fixed in _subset_table(weights[bits:]).T:  # the bits of each chunk's first x
         top = high | fixed[:, None]
-        top_rows = top[1:-1].astype(np.int32)
-        kept = np.flatnonzero(connected[(top[-1][:, None] | low[-1]).ravel()])
-        if kept.size:
-            hx, lx = kept >> b, kept & ((1 << b) - 1)
-            rows = np.empty((n, kept.size), dtype=np.int32)
-            for v in range(n):
-                np.bitwise_or(top_rows[v][hx], low_rows[v][lx], out=rows[v])
-            yield Chunk(top[0, hx] | low[0, lx], rows.T, r=r)
+        cols = (top[1:].astype(np.int32)[:, :, None] | low_rows[:, None, :]).reshape(n, -1)
+        keep = connected_mask(cols.T, n)
+        if keep.any():
+            cols = np.compress(keep, cols, axis=1)  # hold only the kept rows while the chunk is out
+            yield Chunk((top[0][:, None] | low[0]).ravel()[keep], cols.T, r=r)
 
 
 def split_relabelings(n: int, amask: int, canonical: np.ndarray) -> Chunk:
-    """One Chunk of the graphs of the split amask whose canonical indices x'
-    are `canonical`: the relabelings onto the split of those graphs of the
+    """One Chunk of the graphs of the split amask whose canonical codes are
+    `canonical`: the relabelings onto the split of those graphs of the
     canonical split, in ascending x (the order of split_connected_codes),
-    with r = |A|.  x' to x is a permutation of the cross-edge bits, and a
+    with r = |A|.  Canonical code to x is a map of the cross-edge bits, and a
     graph's code and rows are sums over its edges of their disjoint bits, so
     both are matrix products with _split_weights."""
     weights = _split_weights(n, amask)
     edges = np.arange(len(weights))
-    # bit s of x is bit shifts[s] of x'
+    # bit s of x is bit shifts[s] of the canonical code
     shifts = np.array([int(w).bit_length() - 1 for w in weights[:, -1]], dtype=np.int64)
     x = np.sort(((np.asarray(canonical, dtype=np.int64)[:, None] >> shifts) & 1) @ (1 << edges))
     graphs = ((x[:, None] >> edges) & 1) @ weights[:, :-1]
@@ -351,5 +326,5 @@ def split_relabelings(n: int, amask: int, canonical: np.ndarray) -> Chunk:
 
 
 def clear_caches() -> None:
+    """Drop the cached connected populations (connected_chunks)."""
     _connected_cache.clear()
-    _split_cache.clear()

@@ -387,20 +387,21 @@ def _exact_screen(rows: np.ndarray, n: int, branch_items, bvals: np.ndarray) -> 
 
 
 def _shape_survivors(n: int, r: int, branch_items) -> tuple[np.ndarray, np.ndarray, int]:
-    """(survivors, bvals, count) for the splits of n with |A| = r: the
-    canonical indices (ascending) of the graphs that the screen keeps on the
-    chunks of the canonical split A = {0..r-1}, the bound of each alpha, and
-    the number of connected graphs of one split.  The screen is
-    _moment_screen on an upper-only grid and _exact_screen otherwise."""
+    """(survivors, bvals, count) for the splits of n with |A| = r: the codes
+    of the graphs that the screen keeps on the chunks of the canonical split
+    A = {0..r-1}, the bound of each alpha, and the number of connected graphs
+    of one split, summed over those chunks.  The screen is _moment_screen on
+    an upper-only grid and _exact_screen otherwise."""
     alphas = [alpha for alpha, _ in branch_items]
     bvals = np.array([[_scalar_bound(branch, alpha, n, None, r=r)]
                       for alpha, branch in branch_items])
-    keeps = [_moment_screen(rows, n, np.ones((len(rows), 1), bool), alphas, bvals, True)[0]
-             if _upper_only(branch_items) else _exact_screen(rows, n, branch_items, bvals)
-             for _, rows, _, _ in _bulk.split_connected_codes(n, (1 << r) - 1)]
-    # the canonical split's chunks hold its connected graphs in ascending x = x'
-    connected = np.flatnonzero(_bulk._split_connected(r, n - r))
-    return connected[np.concatenate(keeps)], bvals, connected.size
+    survivors, count = [], 0
+    for codes, rows, _, _ in _bulk.split_connected_codes(n, (1 << r) - 1):
+        keep = (_moment_screen(rows, n, np.ones((len(rows), 1), bool), alphas, bvals, True)[0]
+                if _upper_only(branch_items) else _exact_screen(rows, n, branch_items, bvals))
+        survivors.append(codes[keep])
+        count += codes.size
+    return np.concatenate(survivors), bvals, count
 
 
 def _evaluate_splits(acc: _Accumulator, n: int, branch_items) -> _Accumulator:
@@ -412,12 +413,12 @@ def _evaluate_splits(acc: _Accumulator, n: int, branch_items) -> _Accumulator:
     the spectra change under relabeling, up to LAPACK rounding far inside
     tol_eq (measured for n <= 7 in the tests).  So _shape_survivors screens
     the canonical split once per r, and each split, in ascending order,
-    solves its relabeled survivors (split_relabelings, in enumeration order);
-    its count is that of the shape's connectivity table.  A dropped graph's
-    relabeling stays short of its chunk's relabeled probe or extreme, solved
-    in the same split, and of the candidate threshold, so ties break in
-    enumeration order as before.  The survivors depend on the grid, so they
-    live for this call only."""
+    solves its relabeled survivors (split_relabelings of their canonical
+    codes, in enumeration order); its count is the canonical split's.  A
+    dropped graph's relabeling stays short of its chunk's relabeled probe or
+    extreme, solved in the same split, and of the candidate threshold, so
+    ties break in enumeration order as before.  The survivors depend on the
+    grid, so they live for this call only."""
     shapes = {r: _shape_survivors(n, r, branch_items) for r in range(1, n)}
     for amask in _bulk.bipartite_splits(n):
         r = amask.bit_count()

@@ -307,15 +307,15 @@ def split_chunks_reference(n: int, amask: int):
 
 def split_weights_reference(n: int, amask: int) -> np.ndarray:
     """_bulk._split_weights(n, amask) built from Python dicts, one cross edge
-    at a time: its code bit, its two row bits, and the bit of the relabeled
-    edge (A onto 0..r-1, B after it, each part in order) among the canonical
-    split's cross edges in graph6 order."""
+    at a time: its code bit, its two row bits, and the code bit of the
+    relabeled edge (A onto 0..r-1, B after it, each part in order) among the
+    canonical split's cross edges."""
     cross = cross_edges_reference(n, amask)
     r = amask.bit_count()
     order = sorted(range(n), key=lambda v: not amask >> v & 1)  # A, then B
     label = {v: k for k, v in enumerate(order)}
-    canonical = {(i, j): t for t, (_, i, j) in enumerate(cross_edges_reference(n, (1 << r) - 1))}
-    weights = np.zeros((len(cross), n + 2), dtype=np.int64)  # code, n rows, x'
+    canonical = {(i, j): p for p, i, j in cross_edges_reference(n, (1 << r) - 1)}
+    weights = np.zeros((len(cross), n + 2), dtype=np.int64)  # code, n rows, canonical code
     for s, (p, i, j) in enumerate(cross):
         t = canonical[tuple(sorted((label[i], label[j])))]
         weights[s, [0, 1 + i, 1 + j, n + 1]] = 1 << p, 1 << j, 1 << i, 1 << t

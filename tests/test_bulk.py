@@ -8,8 +8,10 @@ from qpow import _bulk
 from qpow.graphs import Graph, from_code
 
 from conftest import (
+    all_graphs,
     connected_population,
     induced_connected_bfs,
+    q_matrix_oracle,
     q_moments_oracle,
     split_chunks_reference,
     split_weights_reference,
@@ -137,11 +139,12 @@ class TestSplitChunks:
 
     @staticmethod
     def assert_relabelings_match(n, amask):
-        # every connected canonical index, relabeled onto the split, is the
+        # every connected canonical graph, relabeled onto the split, is the
         # split's own enumeration: the same codes, rows and r, in its order
         r = amask.bit_count()
         chunks = list(_bulk.split_connected_codes(n, amask))
-        got = _bulk.split_relabelings(n, amask, np.flatnonzero(_bulk._split_connected(r, n - r)))
+        canonical = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, (1 << r) - 1)])
+        got = _bulk.split_relabelings(n, amask, canonical)
         assert isinstance(got, _bulk.Chunk) and got.kappas is None and got.r == r
         assert got.codes.dtype == np.int64 and got.rows.dtype == np.int32
         assert got.rows.shape == (got.size, n)
@@ -158,15 +161,15 @@ class TestSplitChunks:
         self.assert_relabelings_match(9, amask)
 
     def test_relabelings_of_a_subset(self):
-        # a few canonical indices, unsorted: the chunk holds the graphs of the
+        # a few canonical codes, unsorted: the chunk holds the graphs of the
         # split that relabel (A onto 0..r-1, B after it, each part in order)
         # to exactly those canonical graphs, in the split's enumeration order
         n, amask = 6, 0b010101
         label = {v: k for k, v in enumerate([0, 2, 4, 1, 3, 5])}
         picks = [40, 3, 17, 0]
-        got = _bulk.split_relabelings(n, amask, np.flatnonzero(_bulk._split_connected(3, 3))[picks])
-        assert got.size == len(picks) and got.r == 3
         canonical = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, 0b111)])
+        got = _bulk.split_relabelings(n, amask, canonical[picks])
+        assert got.size == len(picks) and got.r == 3
         relabeled = [Graph(n, [(label[i], label[j]) for i, j in from_code(n, int(c)).edges()])
                      .to_code() for c in got.codes]
         assert sorted(relabeled) == sorted(canonical[picks].tolist())
@@ -183,19 +186,6 @@ class TestSplitChunks:
             assert got.dtype == want.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
-    def test_clear_caches_empties_split_tables(self, monkeypatch):
-        monkeypatch.setattr(_bulk, "_connected_cache", {})
-        monkeypatch.setattr(_bulk, "_split_cache", {})
-        for amask in _bulk.bipartite_splits(5):
-            for _ in _bulk.split_connected_codes(5, amask):
-                pass
-        assert set(_bulk._split_cache) == {(r, 5 - r) for r in range(1, 5)}
-        for (r, s), keep in _bulk._split_cache.items():
-            assert keep.dtype == bool and keep.size == 1 << (r * s)
-            assert keep.sum() == sum(c.size for c in split_chunks_reference(5, (1 << r) - 1))
-        _bulk.clear_caches()
-        assert _bulk._split_cache == {}
-
 
 class TestDecodeRows:
     @pytest.mark.parametrize("n", range(1, 10))
@@ -205,6 +195,30 @@ class TestDecodeRows:
         rows = _bulk.decode_rows(codes, n)
         assert rows.shape == (codes.size, n) and rows.dtype == np.int32
         assert rows.tolist() == [list(from_code(n, int(c)).rows) for c in codes]
+
+
+class TestQMatrices:
+    # the batched Jacobi re-verification needs these exact matrices, so the
+    # match is bit for bit, not within a tolerance
+    @staticmethod
+    def assert_matches_oracle(graphs, rows, n):
+        mats = _bulk.q_matrices(rows, n)
+        assert mats.shape == (len(graphs), n, n) and mats.dtype == np.float64
+        for g, mat in zip(graphs, mats):
+            assert np.array_equal(mat, q_matrix_oracle(g))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_graph(self, n):
+        graphs = all_graphs(n)
+        rows = _bulk.decode_rows(np.array([g.to_code() for g in graphs], dtype=np.int64), n)
+        self.assert_matches_oracle(graphs, rows, n)
+
+    def test_random_graphs_to_n12(self, rng):
+        for n in range(6, 13):
+            graphs = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+                      for p in (0.1, 0.4, 0.7, 0.95) for _ in range(10)]
+            self.assert_matches_oracle(graphs, np.array([g.rows for g in graphs], dtype=np.int64), n)
 
 
 class TestConnectedMask:

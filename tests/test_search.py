@@ -871,37 +871,18 @@ class TestConnectedCache:
             np.testing.assert_array_equal(chunk.kappas, _bulk.kappa_batch(chunk.rows, 5))
 
 
-class TestSplitCache:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_warm_tables_give_cold_bytes(self, monkeypatch, threads):
-        # every scan builds its tables in this process, at any threads
-        monkeypatch.setattr(_bulk, "_connected_cache", {})
-        monkeypatch.setattr(_bulk, "_split_cache", {})
-        shapes = {(r, n - r) for n in range(2, 8) for r in range(1, n)}
-        _bulk.clear_caches()
-        cold = scan("conj31", range(2, 8), [1.5, 2, 3], threads=threads).to_json(redact_timing=True)
-        assert set(_bulk._split_cache) == shapes
-        for n in range(2, 8):
-            for amask in _bulk.bipartite_splits(n):
-                for _ in _bulk.split_connected_codes(n, amask):
-                    pass
-        assert set(_bulk._split_cache) == shapes
-        warm = scan("conj31", range(2, 8), [1.5, 2, 3], threads=threads).to_json(redact_timing=True)
-        assert warm == cold
-
-
 def relabeled_power_sums(n, r, alphas):
     """(rows, vals) for the shape (r, n - r): per split of the shape, the rows
     of the relabelings of the canonical split's connected graphs, and per
     alpha their LAPACK power sums, shape (splits, graphs).  Both are in
     canonical order, and split 0 is the canonical split."""
-    canonical = np.flatnonzero(_bulk._split_connected(r, n - r))
+    canonical = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, (1 << r) - 1)])
     rows = []
     for amask in _bulk.bipartite_splits(n):
         if amask.bit_count() == r:
             codes, split_rows, _, _ = _bulk.split_relabelings(n, amask, canonical)
             weights = _bulk._split_weights(n, amask)
-            # each graph's canonical index x', from its code's cross edges
+            # each graph's canonical code, from its code's cross edges
             xs = ((codes[:, None] & weights[:, 0]) != 0) @ weights[:, -1]
             order = np.argsort(xs)
             assert np.array_equal(xs[order], canonical)
@@ -1010,14 +991,12 @@ class TestShapeScreen:
         assert len(warm.violations) == 56
         assert warm.to_json(redact_timing=True) == cold
 
-    def test_n9_census(self, monkeypatch):
-        monkeypatch.setattr(_bulk, "_split_cache", {})  # the n = 9 tables do not outlive the test
+    def test_n9_census(self):
         assert scan("conj31", [9], [2.0], threads=1).graphs_scanned == 89_224_635  # A001832
 
-    def test_n9_lower_census(self, monkeypatch):
+    def test_n9_lower_census(self):
         # a lower grid solves the 1,490,420 canonical graphs, in four chunks
         # for each of the shapes (4, 5) and (5, 4)
-        monkeypatch.setattr(_bulk, "_split_cache", {})
         assert scan("thm32", [9], [-1.0], threads=1).graphs_scanned == 89_224_635  # A001832
 
 
