@@ -11,9 +11,10 @@ one cache, which holds the codes and kappas of the connected graphs for
 n <= 7.  A bipartite split's graphs are gathered instead: their codes and
 rows from two half-size subset tables of the split's cross edges, and a
 frontier sweep over those rows keeps the connected ones; the same edge
-weights relabel chosen graphs of the canonical split onto any split of its
-shape (split_relabelings).  Rows are built column by column, and
-connectivity, of a graph or of the subgraph induced on a vertex set (the
+weights, built for many splits at once, relabel chosen graphs of each
+shape's canonical split onto a group of splits of any shapes, one matrix
+product per shape (split_relabelings).  Rows are built column by column,
+and connectivity, of a graph or of the subgraph induced on a vertex set (the
 kappa sweep), is an in-place frontier sweep over a batch's columns.  The
 other kernels are batched signless Laplacian spectra and power sums, and
 upper bounds on the power sums from exact integer trace moments, which let a
@@ -65,10 +66,11 @@ def connected_mask(rows: np.ndarray, n: int, keep: int | None = None) -> np.ndar
     vertices in order and ORs the kept neighbours of every vertex already
     reached into its graph's reach, in place, so one pass can follow a path
     of several edges.  Passes repeat until no reach changes; reach only gains
-    bits, so an unchanged sum means an unchanged reach."""
-    if keep is None:
-        keep = (1 << n) - 1
-    cols = [(v, rows[:, v] & keep) for v in range(n) if keep >> v & 1]
+    bits, so an unchanged sum means an unchanged reach.  Without keep the
+    columns are read in place, not copied through a mask."""
+    cols = [(v, rows[:, v] if keep is None else rows[:, v] & keep)
+            for v in range(n) if keep is None or keep >> v & 1]
+    keep = (1 << n) - 1 if keep is None else keep
     reach = np.full(len(rows), keep & -keep, dtype=rows.dtype)
     hit = np.empty_like(reach)
     seen = -1
@@ -238,11 +240,9 @@ def connected_chunks(n: int, need_kappa: bool):
 
 
 def bipartite_splits(n: int) -> list[int]:
-    """Bitmasks of the part containing vertex 0, one per unordered split."""
-    if n == 1:
-        return [1]
-    full = (1 << n) - 1
-    return [a for a in range(1, full, 2) if a != full]
+    """Bitmasks of the part containing vertex 0, one per unordered split: the
+    odd masks below the full set ({0} itself for n = 1)."""
+    return list(range(1, max((1 << n) - 1, 2), 2))
 
 
 def _subset_table(weights: np.ndarray) -> np.ndarray:
@@ -255,28 +255,29 @@ def _subset_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def _split_weights(n: int, amask: int) -> np.ndarray:
-    """(c, n + 2) int64: for each cross edge s of the split, in graph6 order,
-    its bit in the edge code, its bits in the n adjacency rows, and its bit
-    in the canonical code, the edge code of the graph relabeled onto the
-    canonical split A = {0..r-1} (A onto 0..r-1 and B after it, each part in
-    order).  A graph of the split with cross-edge subset x has the OR of the
-    rows at the set bits of x for its code, rows and canonical code.  The
-    relabeled edge (a, b), a < b, is bit b (b - 1) / 2 + a, its graph6
-    position."""
-    side = (amask >> np.arange(n)) & 1
+def _split_weights(n: int, amasks) -> np.ndarray:
+    """(S, c, n + 2) int64, a block per split of amasks, c the most cross
+    edges of any: for each cross edge of the split, in graph6 order, its bit
+    in the edge code, its bits in the n adjacency rows, and its bit in the
+    canonical code, the edge code of the graph relabeled onto the canonical
+    split A = {0..r-1} (A onto 0..r-1 and B after it, each part in order,
+    so edge (a, b), a < b, is bit b (b - 1) / 2 + a); then zero rows.  A
+    graph of the split with cross-edge subset x has the OR of the rows at
+    the set bits of x for its code, rows and canonical code."""
+    side = (np.asarray(amasks, dtype=np.int64)[:, None] >> np.arange(n)) & 1  # (S, n)
     pairs = np.array(_pair_positions(n), dtype=np.int64).reshape(-1, 2)
-    p = np.flatnonzero(side[pairs[:, 0]] != side[pairs[:, 1]])  # bits in the edge code
+    cross = side[:, pairs[:, 0]] != side[:, pairs[:, 1]]
+    split, p = np.nonzero(cross)  # p: bits in the edge code, ascending per split
+    s = (np.cumsum(cross, axis=1) - 1)[split, p]  # each edge's row in its block
     i, j = pairs[p].T
-    label = np.empty(n, dtype=np.int64)
-    label[np.argsort(1 - side, kind="stable")] = np.arange(n)  # A, then B
-    a, b = np.minimum(label[i], label[j]), np.maximum(label[i], label[j])
-    weights = np.zeros((len(p), n + 2), dtype=np.int64)  # code, n rows, canonical code
-    s = np.arange(len(p))
-    weights[s, 0] = 1 << p
-    weights[s, 1 + i] = 1 << j
-    weights[s, 1 + j] = 1 << i
-    weights[s, n + 1] = 1 << (b * (b - 1) // 2 + a)
+    label = np.where(side, np.cumsum(side, axis=1),
+                     side.sum(axis=1, keepdims=True) + np.cumsum(1 - side, axis=1)) - 1
+    a, b = np.sort([label[split, i], label[split, j]], axis=0)
+    weights = np.zeros((len(side), cross.sum(axis=1).max(initial=0), n + 2), dtype=np.int64)
+    weights[split, s, 0] = 1 << p
+    weights[split, s, 1 + i] = 1 << j
+    weights[split, s, 1 + j] = 1 << i
+    weights[split, s, n + 1] = 1 << (b * (b - 1) // 2 + a)
     return weights
 
 
@@ -294,7 +295,7 @@ def split_connected_codes(n: int, amask: int):
     keeps.  Above 18 cross edges (n = 9), each chunk's top table carries the
     weights of the bits fixed in the chunk.  Rows come out F-ordered
     (column-contiguous), int32."""
-    weights = _split_weights(n, amask)[:, :-1]  # code, n rows
+    weights = _split_weights(n, [amask])[0, :, :-1]  # code, n rows
     r = amask.bit_count()
     bits = min(len(weights), CHUNK.bit_length() - 1)  # the bits of x within a chunk
     b = bits // 2
@@ -309,20 +310,26 @@ def split_connected_codes(n: int, amask: int):
             yield Chunk((top[0][:, None] | low[0]).ravel()[keep], cols.T, r=r)
 
 
-def split_relabelings(n: int, amask: int, canonical: np.ndarray) -> Chunk:
-    """One Chunk of the graphs of the split amask whose canonical codes are
-    `canonical`: the relabelings onto the split of those graphs of the
-    canonical split, in ascending x (the order of split_connected_codes),
-    with r = |A|.  Canonical code to x is a map of the cross-edge bits, and a
-    graph's code and rows are sums over its edges of their disjoint bits, so
-    both are matrix products with _split_weights."""
-    weights = _split_weights(n, amask)
-    edges = np.arange(len(weights))
-    # bit s of x is bit shifts[s] of the canonical code
-    shifts = np.array([int(w).bit_length() - 1 for w in weights[:, -1]], dtype=np.int64)
-    x = np.sort(((np.asarray(canonical, dtype=np.int64)[:, None] >> shifts) & 1) @ (1 << edges))
-    graphs = ((x[:, None] >> edges) & 1) @ weights[:, :-1]
-    return Chunk(graphs[:, 0], graphs[:, 1:].astype(np.int32), r=amask.bit_count())
+def split_relabelings(n: int, amasks, survivors) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, rows) of the graphs of the splits amasks whose canonical codes
+    are survivors[|A|], split after split, each split's in ascending x (the
+    order of split_connected_codes); int64 codes, int32 rows.  A code is the
+    sum of the code bits of the split's cross edges whose canonical bits the
+    graph has: one matrix product per shape, in canonical-bit order (zero
+    rows sort first and add nothing), then one sort by (split, code)."""
+    weights = _split_weights(n, amasks)
+    code_bits = np.take_along_axis(weights[:, :, 0], np.argsort(weights[:, :, -1], axis=1), axis=1)
+    canonical_bits = np.sort(weights[:, :, -1], axis=1)
+    shapes = np.array([amask.bit_count() for amask in amasks])
+    codes, split = [], []
+    for r in set(shapes.tolist()):
+        ks = np.flatnonzero(shapes == r)
+        has = (survivors[r][:, None] & canonical_bits[ks[0]]) != 0
+        codes.append((code_bits[ks] @ has.T).ravel())  # split by split
+        split.append(np.repeat(ks, len(has)))
+    codes, split = np.concatenate(codes), np.concatenate(split)
+    codes = codes[np.lexsort((codes, split))]
+    return codes, decode_rows(codes, n)
 
 
 def clear_caches() -> None:

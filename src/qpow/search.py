@@ -16,7 +16,8 @@ just the graphs that can still be a witness or a candidate, so an upper-bound
 scan solves a few graphs per batch and leaves the report unchanged.  The
 internal bipartite population is screened once per part-size shape, on the
 canonical split (by moments on an upper-only grid, by spectra otherwise), and
-each split solves only the relabelings of the survivors (_evaluate_splits).
+groups of consecutive splits solve the relabelings of the survivors, with
+one eigensolve and tally per group (_evaluate_splits).
 Re-verification computes the slow facts once per distinct candidate graph
 and then checks each candidate record against its graph's facts in canonical
 order.  The candidate graphs of one n get their Jacobi spectra from one
@@ -52,7 +53,8 @@ REVERIFY_CONV_SCALE = 1e-14  # Jacobi convergence for re-verification (100x tigh
 # the fewest graphs of one n that re-verification solves as one Jacobi batch:
 # below it the per-graph solver is faster (measured crossover, n = 4..12)
 REVERIFY_BATCH_MIN = 32
-STREAM_BATCH = 4096  # stream graphs of one n per eigensolve batch
+# graphs of one n per eigensolve batch: a stream buffer, or a group of splits
+SOLVE_BATCH = 4096
 
 
 def _round12(x):
@@ -243,7 +245,7 @@ def _internal_units(ns, family: str) -> list[_Unit]:
 def _stream_batches(graphs: Iterable[Graph], ns, branch: str, family: str) -> Iterator[_bulk.Chunk]:
     """Chunks of the stream graphs whose n is in ns and that belong to the
     family ("connected", "kappa" or "bipartite"), buffered per n and flushed
-    every STREAM_BATCH graphs.  Only the kappa family computes kappas.
+    every SOLVE_BATCH graphs.  Only the kappa family computes kappas.
 
     For thm31 a chunk's r is vertex 0's part size, and a buffer also flushes
     when r changes, so the batches of each n keep stream order and witness
@@ -269,7 +271,7 @@ def _stream_batches(graphs: Iterable[Graph], ns, branch: str, family: str) -> It
             if spec.shape == "parts":
                 r = parts[0]
         buf = buffers.get(g.n)
-        if buf is not None and (buf[0] != r or len(buf[1]) == STREAM_BATCH):
+        if buf is not None and (buf[0] != r or len(buf[1]) == SOLVE_BATCH):
             yield flush(g.n)
         _, codes, rows, kappas = buffers.setdefault(g.n, (r, [], [], []))
         codes.append(g.to_code())
@@ -322,17 +324,20 @@ def _moment_screen(rows: np.ndarray, n: int, member: np.ndarray, alphas: list[fl
 def _tally(acc: _Accumulator, n: int, codes, member: np.ndarray, ks: list, eigs: np.ndarray,
            bvals: np.ndarray, branch_items) -> None:
     """Power sums, margins, raw candidate violations and extremal witnesses of
-    solved graphs.  Each alpha costs one nonzero over the (graph, k) members
-    for the candidates and one masked argmax/argmin for the witnesses, so
-    ties keep the first graph."""
-    for (alpha, branch), brow in zip(branch_items, bvals):
+    solved graphs.  bvals[a], alpha a's bounds, broadcasts per graph: shape
+    (len(ks),) or (B, len(ks)); tol_eq runs once per distinct bound of the
+    call.  Each alpha costs one nonzero over the (graph, k) members for the
+    candidates and one masked argmax/argmin for the witnesses, so ties keep
+    the first graph."""
+    bounds = np.unique(bvals)
+    tolerances = np.array([tol_eq(b) for b in bounds.tolist()])[np.searchsorted(bounds, bvals)]
+    for (alpha, branch), brow, tols in zip(branch_items, bvals, tolerances):
         maximize = BOUNDS[branch].direction == "upper"
         vals = _bulk.power_sums(eigs, alpha)
-        tols = np.array([tol_eq(b) for b in brow.tolist()])
         margins = brow - vals[:, None] if maximize else vals[:, None] - brow
         for i, j in zip(*np.nonzero(member & (margins < -tols))):
-            acc.raw.append((n, int(codes[i]), ks[j], alpha, branch,
-                            float(vals[i]), float(brow[j])))
+            bval = brow[j] if brow.ndim == 1 else brow[i, j]
+            acc.raw.append((n, int(codes[i]), ks[j], alpha, branch, float(vals[i]), float(bval)))
         filled = np.where(member, vals[:, None], -np.inf if maximize else np.inf)
         best = filled.argmax(axis=0) if maximize else filled.argmin(axis=0)
         for k, i in zip(ks, best.tolist()):
@@ -412,21 +417,31 @@ def _evaluate_splits(acc: _Accumulator, n: int, branch_items) -> _Accumulator:
     and neither the bounds (a function of n and r), the trace moments nor
     the spectra change under relabeling, up to LAPACK rounding far inside
     tol_eq (measured for n <= 7 in the tests).  So _shape_survivors screens
-    the canonical split once per r, and each split, in ascending order,
-    solves its relabeled survivors (split_relabelings of their canonical
-    codes, in enumeration order); its count is the canonical split's.  A
-    dropped graph's relabeling stays short of its chunk's relabeled probe or
-    extreme, solved in the same split, and of the candidate threshold, so
-    ties break in enumeration order as before.  The survivors depend on the
-    grid, so they live for this call only."""
+    the canonical split once per r, and the splits, in ascending order, go
+    in groups of consecutive splits with up to SOLVE_BATCH survivors in all
+    (or one split with more), each with one relabeling (split_relabelings),
+    eigensolve and _tally; a split counts as its canonical split.  A dropped
+    graph's relabeling stays short of its chunk's relabeled probe or
+    extreme, solved in the same group, and of the candidate threshold, so
+    ties break in enumeration order.  The survivors depend on the grid, so
+    they live for this call only."""
     shapes = {r: _shape_survivors(n, r, branch_items) for r in range(1, n)}
+    survivors = {r: shape[0] for r, shape in shapes.items()}
+    groups, size = [], math.inf
     for amask in _bulk.bipartite_splits(n):
-        r = amask.bit_count()
-        survivors, bvals, count = shapes[r]
-        codes, rows, _, _ = _bulk.split_relabelings(n, amask, survivors)
-        acc.count += count
-        _tally(acc, n, codes, np.ones((len(codes), 1), bool), [None], _bulk.q_eigs(rows, n),
-               bvals, branch_items)
+        grow = survivors[amask.bit_count()].size
+        if size + grow > SOLVE_BATCH:
+            groups.append([])
+            size = 0
+        groups[-1].append(amask)
+        size += grow
+    for amasks in groups:
+        kept, bvals, counts = zip(*(shapes[amask.bit_count()] for amask in amasks))
+        codes, rows = _bulk.split_relabelings(n, amasks, survivors)
+        acc.count += sum(counts)
+        brows = np.repeat(np.stack(bvals, axis=1), [k.size for k in kept], axis=1)
+        _tally(acc, n, codes, np.ones((codes.size, 1), bool), [None], _bulk.q_eigs(rows, n),
+               brows, branch_items)
     return acc
 
 

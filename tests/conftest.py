@@ -14,7 +14,9 @@ exhaustive sweep over vertex subsets (the library runs max-flow), and the
 connectivity of induced subgraphs from breadth-first search (the library runs
 a batched bitmask sweep).  The bipartite split enumerator's earlier per-bit
 builder (rows per cross edge, a frontier sweep per split, codes per cross
-edge) is the bit-for-bit reference for its subset-table gathers.
+edge) is the bit-for-bit reference for its subset-table gathers, and the
+earlier per-split relabeling (one pair of matrix products per split) the
+reference for the relabeling of a group of splits.
 """
 
 from __future__ import annotations
@@ -305,21 +307,45 @@ def split_chunks_reference(n: int, amask: int):
             yield _bulk.Chunk(codes, rows[keep], r=amask.bit_count())
 
 
-def split_weights_reference(n: int, amask: int) -> np.ndarray:
-    """_bulk._split_weights(n, amask) built from Python dicts, one cross edge
-    at a time: its code bit, its two row bits, and the code bit of the
-    relabeled edge (A onto 0..r-1, B after it, each part in order) among the
-    canonical split's cross edges."""
-    cross = cross_edges_reference(n, amask)
-    r = amask.bit_count()
-    order = sorted(range(n), key=lambda v: not amask >> v & 1)  # A, then B
-    label = {v: k for k, v in enumerate(order)}
-    canonical = {(i, j): p for p, i, j in cross_edges_reference(n, (1 << r) - 1)}
-    weights = np.zeros((len(cross), n + 2), dtype=np.int64)  # code, n rows, canonical code
-    for s, (p, i, j) in enumerate(cross):
-        t = canonical[tuple(sorted((label[i], label[j])))]
-        weights[s, [0, 1 + i, 1 + j, n + 1]] = 1 << p, 1 << j, 1 << i, 1 << t
-    return weights
+def split_weights_reference(n: int, amasks) -> np.ndarray:
+    """_bulk._split_weights(n, amasks) built from Python dicts, one split and
+    one cross edge at a time: its code bit, its two row bits, and the code
+    bit of the relabeled edge (A onto 0..r-1, B after it, each part in order)
+    among the canonical split's cross edges; a split with fewer cross edges
+    than the most has zero rows after its own."""
+    blocks = []
+    for amask in amasks:
+        cross = cross_edges_reference(n, amask)
+        r = amask.bit_count()
+        order = sorted(range(n), key=lambda v: not amask >> v & 1)  # A, then B
+        label = {v: k for k, v in enumerate(order)}
+        canonical = {(i, j): p for p, i, j in cross_edges_reference(n, (1 << r) - 1)}
+        weights = np.zeros((len(cross), n + 2), dtype=np.int64)  # code, n rows, canonical code
+        for s, (p, i, j) in enumerate(cross):
+            t = canonical[tuple(sorted((label[i], label[j])))]
+            weights[s, [0, 1 + i, 1 + j, n + 1]] = 1 << p, 1 << j, 1 << i, 1 << t
+        blocks.append(weights)
+    out = np.zeros((len(blocks), max(len(w) for w in blocks), n + 2), dtype=np.int64)
+    for k, weights in enumerate(blocks):
+        out[k, :len(weights)] = weights
+    return out
+
+
+def split_relabelings_reference(n: int, amask: int, canonical) -> _bulk.Chunk:
+    """One split's relabelings as they were built split by split: the Chunk
+    of the graphs of the split amask whose canonical codes are `canonical`,
+    in ascending x, with r = |A|.  Canonical code to x is a map of the
+    cross-edge bits, and a graph's code and rows are sums over its edges of
+    their disjoint bits, so both are matrix products with the split's
+    weights.  _bulk.split_relabelings over a group of splits must give each
+    split's codes and rows, in split order."""
+    weights = split_weights_reference(n, [amask])[0]
+    edges = np.arange(len(weights))
+    # bit s of x is bit shifts[s] of the canonical code
+    shifts = np.array([int(w).bit_length() - 1 for w in weights[:, -1]], dtype=np.int64)
+    x = np.sort(((np.asarray(canonical, dtype=np.int64)[:, None] >> shifts) & 1) @ (1 << edges))
+    graphs = ((x[:, None] >> edges) & 1) @ weights[:, :-1]
+    return _bulk.Chunk(graphs[:, 0], graphs[:, 1:].astype(np.int32), r=amask.bit_count())
 
 
 def all_graphs(n: int):

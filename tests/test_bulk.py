@@ -14,6 +14,7 @@ from conftest import (
     q_matrix_oracle,
     q_moments_oracle,
     split_chunks_reference,
+    split_relabelings_reference,
     split_weights_reference,
 )
 
@@ -144,12 +145,11 @@ class TestSplitChunks:
         r = amask.bit_count()
         chunks = list(_bulk.split_connected_codes(n, amask))
         canonical = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, (1 << r) - 1)])
-        got = _bulk.split_relabelings(n, amask, canonical)
-        assert isinstance(got, _bulk.Chunk) and got.kappas is None and got.r == r
-        assert got.codes.dtype == np.int64 and got.rows.dtype == np.int32
-        assert got.rows.shape == (got.size, n)
-        np.testing.assert_array_equal(got.codes, np.concatenate([c.codes for c in chunks]))
-        np.testing.assert_array_equal(got.rows, np.concatenate([c.rows for c in chunks]))
+        codes, rows = _bulk.split_relabelings(n, [amask], {r: canonical})
+        assert codes.dtype == np.int64 and rows.dtype == np.int32
+        assert rows.shape == (codes.size, n)
+        np.testing.assert_array_equal(codes, np.concatenate([c.codes for c in chunks]))
+        np.testing.assert_array_equal(rows, np.concatenate([c.rows for c in chunks]))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_split_relabels_the_canonical_split(self, n):
@@ -168,23 +168,70 @@ class TestSplitChunks:
         label = {v: k for k, v in enumerate([0, 2, 4, 1, 3, 5])}
         picks = [40, 3, 17, 0]
         canonical = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, 0b111)])
-        got = _bulk.split_relabelings(n, amask, canonical[picks])
-        assert got.size == len(picks) and got.r == 3
+        codes, rows = _bulk.split_relabelings(n, [amask], {3: canonical[picks]})
+        assert codes.size == len(picks)
         relabeled = [Graph(n, [(label[i], label[j]) for i, j in from_code(n, int(c)).edges()])
-                     .to_code() for c in got.codes]
+                     .to_code() for c in codes]
         assert sorted(relabeled) == sorted(canonical[picks].tolist())
         own = np.concatenate([c.codes for c in _bulk.split_connected_codes(n, amask)]).tolist()
-        positions = [own.index(int(c)) for c in got.codes]
+        positions = [own.index(int(c)) for c in codes]
         assert positions == sorted(positions)
-        np.testing.assert_array_equal(got.rows, _bulk.decode_rows(got.codes, n))
+        np.testing.assert_array_equal(rows, _bulk.decode_rows(codes, n))
+
+    @staticmethod
+    def assert_group_matches_reference(n, amasks, survivors):
+        # one call over a group of splits gives each split's relabelings, as
+        # the per-split reference builds them, concatenated in split order
+        codes, rows = _bulk.split_relabelings(n, amasks, survivors)
+        refs = [split_relabelings_reference(n, amask, survivors[amask.bit_count()])
+                for amask in amasks]
+        assert codes.dtype == np.int64 and rows.dtype == np.int32
+        assert rows.shape == (codes.size, n)
+        np.testing.assert_array_equal(codes, np.concatenate([ref.codes for ref in refs]))
+        np.testing.assert_array_equal(rows, np.concatenate([ref.rows for ref in refs]))
+
+    @staticmethod
+    def canonical_codes(n):
+        return {r: np.concatenate([c.codes for c in _bulk.split_connected_codes(n, (1 << r) - 1)])
+                for r in range(1, n)}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_group_of_every_split_matches_reference(self, n):
+        # every split of n in one group, so every shape of n is mixed in it
+        self.assert_group_matches_reference(n, _bulk.bipartite_splits(n), self.canonical_codes(n))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_groups_of_subsets_match_reference(self, n):
+        # groups of 1 to 5 consecutive splits over a random subset of each
+        # shape's canonical codes, unsorted, and one shape with no survivors
+        rng = np.random.default_rng(n)
+        picks = {r: rng.permutation(codes)[:rng.integers(1, 41)]
+                 for r, codes in self.canonical_codes(n).items()}
+        picks[int(rng.integers(1, n))] = np.zeros(0, dtype=np.int64)
+        splits = _bulk.bipartite_splits(n)
+        lo = 0
+        while lo < len(splits):
+            size = int(rng.integers(1, 6))
+            self.assert_group_matches_reference(n, splits[lo:lo + size], picks)
+            lo += size
+
+    def test_n9_group_matches_reference(self):
+        # 20 cross edges on the shapes (4, 5) and (5, 4), next to the
+        # shapes (1, 8) and (8, 1) with 8
+        rng = np.random.default_rng(9)
+        picks = {r: rng.permutation(codes)[:300] for r, codes in self.canonical_codes(9).items()}
+        splits = [0b1, 0b000001111, 0b110000011, 0b011111111, 0b101010101]
+        self.assert_group_matches_reference(9, splits, picks)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_split_weights_match_dict_reference(self, n):
-        for amask in _bulk.bipartite_splits(n):
-            got = _bulk._split_weights(n, amask)
-            want = split_weights_reference(n, amask)
-            assert got.dtype == want.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+        # every split of n at once, shapes mixed: the splits with fewer cross
+        # edges than the most have zero rows after their own
+        splits = _bulk.bipartite_splits(n)
+        got = _bulk._split_weights(n, splits)
+        want = split_weights_reference(n, splits)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDecodeRows:

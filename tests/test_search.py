@@ -880,8 +880,8 @@ def relabeled_power_sums(n, r, alphas):
     rows = []
     for amask in _bulk.bipartite_splits(n):
         if amask.bit_count() == r:
-            codes, split_rows, _, _ = _bulk.split_relabelings(n, amask, canonical)
-            weights = _bulk._split_weights(n, amask)
+            codes, split_rows = _bulk.split_relabelings(n, [amask], {r: canonical})
+            weights = _bulk._split_weights(n, [amask])[0]
             # each graph's canonical code, from its code's cross edges
             xs = ((codes[:, None] & weights[:, 0]) != 0) @ weights[:, -1]
             order = np.argsort(xs)
@@ -1051,6 +1051,16 @@ class TestBenchHooks:
             "print(t.counts['bulk.q_eigs.matrices'], t.counts['bulk.enum.kept'])\n"
         )
         assert (matrices, kept) == (141, 4401)
+
+    def test_traced_conj31_scan_batches_split_groups(self):
+        # 21 screens (one eigensolve of their probes each) and, per n, one
+        # group of all its splits (one survivor each, far below SOLVE_BATCH)
+        # with one eigensolve: 27 batches for the same 141 matrices
+        batches, matrices = run_traced(
+            "search.scan('conj31', range(2, 8), [1.5, 2, 3], threads=1)\n"
+            "print(t.calls['bulk.q_eigs'], t.counts['bulk.q_eigs.matrices'])\n"
+        )
+        assert (batches, matrices) == (21 + 6, 141)
 
     def test_traced_scan_counts_scalar_bound(self):
         scalar, connectivity, scans = run_traced(
